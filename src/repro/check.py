@@ -1,14 +1,12 @@
 """``python -m repro check`` — the one-stop static-analysis gate.
 
-Runs all four analyzers in their CI configuration, in dependency-light
+Runs all three analyzers in their CI configuration, in dependency-light
 order, with a per-analyzer wall-time summary at the end:
 
 1. **lint** — AST rules over the source tree (``repro.lint``);
 2. **commcheck** — fault-free schedule extraction, structural checks,
    cost certification (``repro.commcheck``);
-3. **racecheck** — happens-before sanitizer + guarded-by verification
-   (``repro.racecheck``);
-4. **faultcheck** — exhaustive fault-space certification
+3. **faultcheck** — exhaustive fault-space certification
    (``repro.faultcheck``), optionally writing the byte-deterministic
    certificate artifact.
 
@@ -16,7 +14,7 @@ CI calls this entry point so the gate wiring lives in one place: adding
 an analyzer here adds it to every CI pipeline and to every developer's
 pre-push habit simultaneously.  Each analyzer runs even when an earlier
 one fails — one red gate must not hide another's findings — and the
-meta-runner's exit code is the OR of all four.
+meta-runner's exit code is the OR of all three.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Any, Callable
 __all__ = ["AnalyzerRun", "CheckResult", "ANALYZERS", "run_check", "render_summary"]
 
 #: Analyzer names in execution order.
-ANALYZERS = ("lint", "commcheck", "racecheck", "faultcheck")
+ANALYZERS = ("lint", "commcheck", "faultcheck")
 
 
 @dataclass
@@ -86,14 +84,6 @@ def _run_commcheck(jobs: int, emit: Callable[[str], None]) -> tuple[int, str]:
     return result.exit_code, f"{clean}/{len(result.reports)} variants clean"
 
 
-def _run_racecheck(jobs: int, emit: Callable[[str], None]) -> tuple[int, str]:
-    from repro.racecheck.runner import render_text, run_racecheck
-
-    result = run_racecheck()
-    emit(render_text(result))
-    return result.exit_code, "clean" if result.exit_code == 0 else "races"
-
-
 def _make_faultcheck(
     cert_path: str | None,
 ) -> Callable[[int, Callable[[str], None]], tuple[int, str]]:
@@ -129,7 +119,7 @@ def run_check(
     faultcheck_cert: str | None = None,
     emit: Callable[[str], None] = print,
 ) -> CheckResult:
-    """Run the requested analyzers (default: all four) and time each.
+    """Run the requested analyzers (default: all three) and time each.
 
     ``jobs`` fans the machine-replay-heavy analyzers (commcheck,
     faultcheck) across worker processes.  ``emit`` receives each
@@ -139,7 +129,6 @@ def run_check(
     runners: dict[str, Callable[[int, Callable[[str], None]], tuple[int, str]]] = {
         "lint": _run_lint,
         "commcheck": _run_commcheck,
-        "racecheck": _run_racecheck,
         "faultcheck": _make_faultcheck(faultcheck_cert),
     }
     names = [n for n in ANALYZERS if only is None or n in only]

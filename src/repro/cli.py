@@ -17,9 +17,6 @@
     python -m repro commcheck --all-variants
     python -m repro commcheck --all-variants --jobs 4
     python -m repro commcheck --variants ft_polynomial --phase interpolation
-    python -m repro racecheck
-    python -m repro racecheck --variants ft_toomcook,replication --no-smoke
-    python -m repro racecheck --json-out /tmp/races.json
     python -m repro faultcheck --all-variants --jobs 4
     python -m repro faultcheck --variants ft_linear --json
     python -m repro faultcheck --all-variants --cert-out /tmp/faultcert.json
@@ -37,7 +34,6 @@ shorthand ``0x1pN`` for ``2**N``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -114,12 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("sim", "proc"), default=None,
         help="machine backend: sim (in-process) or proc (one OS process per "
         "rank); default: the REPRO_BACKEND environment variable",
-    )
-    mul.add_argument(
-        "--engine", choices=("event", "thread"), default=None,
-        help="sim-backend scheduling engine: event (deterministic "
-        "cooperative scheduler) or thread (legacy free-running threads); "
-        "default: the REPRO_ENGINE environment variable",
     )
     mul.add_argument(
         "--trace-out", metavar="PATH", default=None,
@@ -246,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "OS process per rank); default: the REPRO_BACKEND environment "
         "variable",
     )
-    camp.add_argument(
-        "--engine", choices=("event", "thread"), default=None,
-        help="sim-backend scheduling engine for trial runs (the report is "
-        "byte-identical across engines); default: the REPRO_ENGINE "
-        "environment variable",
-    )
 
     cc = sub.add_parser(
         "commcheck",
@@ -307,53 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(one OS process per rank; the conformance gate byte-compares the "
         "two); default: the REPRO_BACKEND environment variable",
     )
-    cc.add_argument(
-        "--engine", choices=("event", "thread"), default=None,
-        help="sim-backend scheduling engine for extraction runs (the "
-        "conformance gate byte-compares the graphs across engines); "
-        "default: the REPRO_ENGINE environment variable",
-    )
-
-    rc = sub.add_parser(
-        "racecheck",
-        help="happens-before race detection gate (see docs/STATIC_ANALYSIS.md)",
-    )
-    rc.add_argument(
-        "--variants", default=None, metavar="NAMES",
-        help="comma-separated variant names (default: all)",
-    )
-    rc.add_argument(
-        "--list-variants", action="store_true",
-        help="print the checkable variants and exit",
-    )
-    rc.add_argument("--bits", type=int, default=600, help="operand bits (default 600)")
-    rc.add_argument(
-        "--word-bits", type=int, default=16, help="machine word width (default 16)"
-    )
-    rc.add_argument(
-        "--timeout", type=float, default=15.0,
-        help="per-receive deadlock timeout in seconds (default 15)",
-    )
-    rc.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    rc.add_argument(
-        "--smoke-seed", type=int, default=1,
-        help="campaign-smoke seed (default 1)",
-    )
-    rc.add_argument(
-        "--smoke-trials", type=int, default=2,
-        help="fault-injection trials per variant in the smoke (default 2)",
-    )
-    rc.add_argument(
-        "--no-smoke", action="store_true",
-        help="skip the sanitized fault-injection campaign smoke",
-    )
-    rc.add_argument(
-        "--json", action="store_true", help="print the JSON report instead of text"
-    )
-    rc.add_argument(
-        "--json-out", metavar="PATH", default=None,
-        help="also write the JSON report to PATH",
-    )
 
     fc = sub.add_parser(
         "faultcheck",
@@ -406,22 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the canonical byte-deterministic certificate to PATH "
         "(the CI artifact)",
     )
-    fc.add_argument(
-        "--engine", choices=("event", "thread"), default=None,
-        help="sim-backend scheduling engine for the probe runs (the "
-        "certificate is byte-identical across engines); default: the "
-        "REPRO_ENGINE environment variable",
-    )
 
     chk = sub.add_parser(
         "check",
-        help="run all four static analyzers (lint, commcheck, racecheck, "
-        "faultcheck) with a timing summary — the one-stop CI gate",
+        help="run all three static analyzers (lint, commcheck, faultcheck) "
+        "with a timing summary — the one-stop CI gate",
     )
     chk.add_argument(
         "--only", default=None, metavar="NAMES",
-        help="comma-separated analyzer subset (lint,commcheck,racecheck,"
-        "faultcheck); default: all",
+        help="comma-separated analyzer subset (lint,commcheck,faultcheck); "
+        "default: all",
     )
     chk.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -493,25 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_races(run) -> None:
-    """Surface sanitizer findings from an ad-hoc run on stderr.
-
-    ``REPRO_RACECHECK=1`` installs the detector on every machine; outside
-    a ``collect_races`` scope (the ``racecheck`` gate) nothing else would
-    show the reports.  Advisory only — exit codes are the gate's job.
-    """
-    races = getattr(run, "races", None)
-    if not races:
-        return
-    print(
-        f"racecheck: {len(races)} race report(s) detected "
-        "(run `python -m repro racecheck` for the full gate):",
-        file=sys.stderr,
-    )
-    for report in races:
-        print(f"  {report.kind}: {report.field}", file=sys.stderr)
-
-
 def _cmd_multiply(args) -> int:
     from repro.core.api import multiply, multiply_fault_tolerant, multiply_parallel
     from repro.machine.fault import FaultSchedule
@@ -547,7 +459,6 @@ def _cmd_multiply(args) -> int:
         fmt = write_trace(out.run.trace, args.trace_out)
         if not args.json:
             print(f"trace   : {len(out.run.trace)} events -> {args.trace_out} ({fmt})")
-    _warn_races(out.run)
     c = out.run.critical_path
     payload = {
         "product": str(out.product),
@@ -594,7 +505,6 @@ def _cmd_trace(args) -> int:
         )
     exact = out.product == args.a * args.b
     run = out.run
-    _warn_races(run)
     print(render_gantt(run.trace, width=args.width, title="virtual-time Gantt"))
     print()
     print(
@@ -765,42 +675,6 @@ def _cmd_commcheck(args) -> int:
     return result.exit_code
 
 
-def _cmd_racecheck(args) -> int:
-    from repro.commcheck.extract import COMMCHECK_VARIANTS, make_config
-    from repro.racecheck.runner import render_text, run_racecheck, to_json
-
-    if args.list_variants:
-        for name in COMMCHECK_VARIANTS:
-            print(name)
-        return 0
-    variants = (
-        [name for name in args.variants.split(",") if name]
-        if args.variants
-        else None
-    )
-    cfg = make_config(
-        bits=args.bits,
-        word_bits=args.word_bits,
-        timeout=args.timeout,
-        seed=args.seed,
-    )
-    result = run_racecheck(
-        variants,
-        cfg,
-        smoke_seed=args.smoke_seed,
-        smoke_trials=args.smoke_trials,
-        run_smoke=not args.no_smoke,
-    )
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(to_json(result), fh)
-    if args.json:
-        print(json.dumps(to_json(result)))
-    else:
-        print(render_text(result))
-    return result.exit_code
-
-
 def _cmd_faultcheck(args) -> int:
     from repro.commcheck.extract import make_config
     from repro.faultcheck import (
@@ -882,26 +756,20 @@ def main(argv: list[str] | None = None) -> int:
         "lint": _cmd_lint,
         "campaign": _cmd_campaign,
         "commcheck": _cmd_commcheck,
-        "racecheck": _cmd_racecheck,
         "faultcheck": _cmd_faultcheck,
         "check": _cmd_check,
         "perf": _cmd_perf,
     }
     handler = handlers[args.command]
     backend = getattr(args, "backend", None)
-    engine = getattr(args, "engine", None)
-    # Scoping the environment variables (rather than threading parameters
+    if backend is None:
+        return handler(args)
+    from repro.util.env import backend_scope
+
+    # Scoping the environment variable (rather than threading a parameter
     # through every handler) also reaches machines built inside worker
     # processes, which inherit the environment.
-    with contextlib.ExitStack() as scopes:
-        if backend is not None:
-            from repro.util.env import backend_scope
-
-            scopes.enter_context(backend_scope(backend))
-        if engine is not None:
-            from repro.util.env import engine_scope
-
-            scopes.enter_context(engine_scope(engine))
+    with backend_scope(backend):
         return handler(args)
 
 

@@ -27,7 +27,7 @@ from repro.commcheck.graph import CommGraph
 from repro.core.plan import make_plan
 from repro.machine.fault import FaultSchedule
 from repro.machine.record import ScheduleRecorder
-from repro.util.env import backend_scope, engine_scope
+from repro.util.env import backend_scope
 
 __all__ = [
     "COMMCHECK_VARIANTS",
@@ -134,7 +134,6 @@ def extract_variant(
     name: str,
     cfg: CampaignConfig | None = None,
     backend: str | None = None,
-    engine: str | None = None,
 ) -> CommGraph:
     """Run variant ``name`` fault-free under a recorder; return its graph.
 
@@ -143,11 +142,10 @@ def extract_variant(
     fault-free schedule, so it raises :class:`ExtractionError` instead of
     returning a misleading graph.
 
-    ``backend`` scopes ``REPRO_BACKEND`` and ``engine`` scopes
-    ``REPRO_ENGINE`` around the extraction run (``None`` = whatever the
-    environment says).  The backend-conformance gate extracts the same
-    variant on ``sim`` and ``proc``, the engine-conformance gate on
-    ``thread`` and ``event``, and both byte-compare the canonical JSON.
+    ``backend`` scopes ``REPRO_BACKEND`` around the extraction run
+    (``None`` = whatever the environment says).  The backend-conformance
+    gate extracts the same variant on ``sim`` and ``proc`` and
+    byte-compares the canonical JSON.
     """
     cfg = cfg or make_config()
     if name not in COMMCHECK_VARIANTS:
@@ -156,8 +154,7 @@ def extract_variant(
     workload = spec.make_workload(_workload_rng(cfg.seed, name), cfg)
     recorder = ScheduleRecorder()
     scope = backend_scope(backend) if backend is not None else nullcontext()
-    escope = engine_scope(engine) if engine is not None else nullcontext()
-    with scope, escope:
+    with scope:
         execution = spec.execute(
             workload, FaultSchedule(), replace(cfg), recorder=recorder
         )

@@ -398,10 +398,15 @@ class PolynomialCodedToomCook(ParallelToomCook):
         return LimbVector(out, result_blocks[0].base_bits)
 
     # -- assembly ------------------------------------------------------------------
-    def multiply(self, a: int, b: int, raise_on_error: bool = False) -> MultiplyOutcome:
+    def multiply(self, a: int, b: int, raise_on_error: bool = True) -> MultiplyOutcome:
         """As the base class, but rank errors are expected (hard faults
         are part of normal operation) — only standard ranks' results
-        matter, and a missing one is an error."""
+        matter, and a missing one is an error.
+
+        A fatal rank error (anything but a tolerated hard fault) or a
+        missing standard slice raises a :class:`MachineError`, like the
+        base class.  ``raise_on_error=False`` instead returns the failed
+        outcome (``product == 0``, ``run.ok`` False) for inspection."""
         outcome = super().multiply(a, b, raise_on_error=False)
         fatal = {
             r: e

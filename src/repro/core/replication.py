@@ -18,7 +18,7 @@ import math
 from typing import Any
 
 from repro.core.layout import CyclicLayout
-from repro.core.parallel_toomcook import MultiplyOutcome, ParallelToomCook
+from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError
 from repro.machine.fault import FaultSchedule
@@ -97,8 +97,3 @@ class ReplicatedToomCook(ParallelToomCook):
             f"all {self.copies} replicas failed — more than f={self.f} faults?"
         )
 
-    def multiply(self, a: int, b: int, raise_on_error: bool = False) -> MultiplyOutcome:
-        """Rank errors within a killed copy are expected, so errors are
-        tolerated as long as one replica finishes."""
-        outcome = super().multiply(a, b, raise_on_error=False)
-        return outcome

@@ -7,14 +7,12 @@ and verify the annotation system itself:
 
 ``LOCK010``
     Extends guarded-field access checking to the subsystems grown since
-    the annotations were written — ``campaign/``, ``parallel/`` and
-    ``racecheck/`` — with one addition over LOCK001: *interprocedural
-    clearing*.  An access inside a helper function is accepted when every
-    recorded call site of that helper (by bare name, across all scoped
-    files) lexically holds a required lock — the ``Callers hold _mu``
-    idiom.  Clearing is keyed by bare function name, so a name collision
-    can mask a finding (never invent one); the dynamic sanitizer is the
-    backstop for what this rule cannot see.
+    the annotations were written — ``campaign/`` and ``parallel/`` —
+    with one addition over LOCK001: *interprocedural clearing*.  An
+    access inside a helper function is accepted when every recorded call
+    site of that helper (by bare name, across all scoped files)
+    lexically holds a required lock — the ``Callers hold _mu`` idiom.  Clearing is keyed by bare function name, so a name collision
+    can mask a finding (never invent one).
 
 ``LOCK011``
     Escape analysis for *missing* annotations: a class that owns a
@@ -168,14 +166,14 @@ class GuardedScopeRule(Rule):
     id = "LOCK010"
     name = "lock-verify-scope"
     description = (
-        "guarded-field accesses in campaign/, parallel/ and racecheck/ must "
-        "hold the declared lock, lexically or via every recorded call site"
+        "guarded-field accesses in campaign/ and parallel/ must hold the "
+        "declared lock, lexically or via every recorded call site"
     )
     #: Census + call-site collection span every annotated subsystem; only
     #: the post-LOCK001 subsystems are *checked* (machine/core/obs stay
     #: LOCK001's, so one access is never reported twice).
-    scopes = ("machine/", "core/", "obs/", "campaign/", "parallel/", "racecheck/")
-    check_scopes = ("campaign/", "parallel/", "racecheck/")
+    scopes = ("machine/", "core/", "obs/", "campaign/", "parallel/")
+    check_scopes = ("campaign/", "parallel/")
 
     def __init__(self) -> None:
         self.guarded: dict[str, set[str]] = {}
@@ -268,7 +266,7 @@ class MissingGuardRule(Rule):
         "mutable fields of lock-owning (thread-shared) classes that are "
         "mutated outside __init__ must carry a '# guarded-by:' annotation"
     )
-    scopes = ("machine/", "campaign/", "parallel/", "obs/", "racecheck/")
+    scopes = ("machine/", "campaign/", "parallel/", "obs/")
 
     @staticmethod
     def _is_lock_factory(value: ast.expr) -> bool:

@@ -1,15 +1,13 @@
 """Thread-creation rule (THR001).
 
 Rank execution is centralised in :mod:`repro.machine.engines`: the
-event engine owns the carrier threads (parked, one runnable at a time)
-and the legacy thread engine owns the free-running kind.  A stray
-``threading.Thread`` anywhere else reintroduces exactly the
+event engine owns the carrier threads (parked, one runnable at a time).
+A stray ``threading.Thread`` anywhere else reintroduces exactly the
 nondeterminism the event engine was built to remove — wall-clock
 interleavings, GIL-dependent schedules, wake-ups the scheduler cannot
-see — and silently breaks the engine-conformance guarantee (both
-engines byte-identical on every observable).  The process backends keep
-their pump/reaper threads: they shuttle bytes between OS processes and
-never touch rank scheduling.
+see — and silently breaks the determinism the committed goldens pin.
+The process backends keep their pump/reaper threads: they shuttle bytes
+between OS processes and never touch rank scheduling.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.lint.engine import Rule, SourceFile, Violation, dotted_name
 
 __all__ = ["ThreadCreationRule"]
 
-#: The only modules allowed to construct threads: the two engines (rank
+#: The only modules allowed to construct threads: the scheduler (rank
 #: carriers) and the process backends (I/O pump + reaper threads).
 _ALLOWED = (
     "machine/engines/",

@@ -33,6 +33,7 @@ Responsibilities, in the order they matter:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -155,11 +156,6 @@ class ProcBackend:
                 "tracing is not supported on the proc backend; "
                 "run with backend='sim' to trace"
             )
-        if machine._resolve_sanitizer() is not None:
-            raise MachineError(
-                "race detection is not supported on the proc backend; "
-                "run with backend='sim' to sanitize"
-            )
         configs = [
             self._config_for(r, program, args, rank_args)
             for r in range(machine.size)
@@ -244,8 +240,17 @@ class ProcBackend:
                     f"ranks {missing}"
                 )
         snapshot = self._snapshot()
-        for slot in self.slots:
-            self._send_to(slot, wire.GO, snapshot)
+        # No rank may see any frame before its GO (the handshake rejects
+        # anything else), yet a rank released first starts sending at
+        # once and its reader forwards DATA/EVENT frames to peers.  Hold
+        # every write lock until all GOs are out so those frames queue
+        # behind them.  Ascending rank order; every other writer holds at
+        # most one write lock, so this cannot deadlock.
+        with contextlib.ExitStack() as held:
+            for slot in self.slots:
+                held.enter_context(slot.wlock)
+            for slot in self.slots:
+                self._write_locked(slot, wire.GO, snapshot)
 
     # ----------------------------------------------------------- accept side
     def _accept_loop(self) -> None:
@@ -272,21 +277,26 @@ class ProcBackend:
             rank, incarnation = payload
             slot = self.slots[rank]
             respawn = False
-            with self.lock:
-                slot.conn = conn
-                slot.last_seen = time.monotonic()
-                if incarnation > 0:
-                    # A replacement process coming up: it was spawned at
-                    # this incarnation, make the machine state agree.
-                    slot.incarnation = incarnation
-                    slot.alive = True
-                    respawn = True
+            # The write lock spans publishing the connection and writing
+            # a replacement's GO: a peer forwarding to this rank in
+            # between would otherwise reach it before its GO.
+            with slot.wlock:
+                with self.lock:
+                    slot.conn = conn
+                    slot.last_seen = time.monotonic()
+                    if incarnation > 0:
+                        # A replacement process coming up: it was spawned
+                        # at this incarnation, make the machine state
+                        # agree.
+                        slot.incarnation = incarnation
+                        slot.alive = True
+                        respawn = True
+                if respawn:
+                    # The snapshot already carries the bumped incarnation,
+                    # and the broadcast echo to the new rank re-applies it
+                    # idempotently.
+                    self._write_locked(slot, wire.GO, self._snapshot())
             if respawn:
-                # GO must be the first frame the replacement sees (its
-                # handshake blocks on it); the snapshot already carries
-                # the bumped incarnation, and the broadcast echo to the
-                # new rank re-applies it idempotently.
-                self._send_to(slot, wire.GO, self._snapshot())
                 self._broadcast("replacement", rank, slot.incarnation)
             self._connected.release()
             while True:
@@ -337,13 +347,18 @@ class ProcBackend:
         simulator (and physical reality): the sender cannot know.
         """
         with slot.wlock:
-            conn = slot.conn
-            if conn is None:
-                return
-            try:
-                wire.send_frame(conn, kind, payload)
-            except OSError:  # repro-lint: disable=EXC001 -- audited: send-to-dead-rank succeeds silently by contract (see docstring)
-                pass
+            self._write_locked(slot, kind, payload)
+
+    @staticmethod
+    def _write_locked(slot: _RankSlot, kind: str, payload: Any) -> None:
+        """:meth:`_send_to` for a caller already holding ``slot.wlock``."""
+        conn = slot.conn
+        if conn is None:
+            return
+        try:
+            wire.send_frame(conn, kind, payload)
+        except OSError:  # repro-lint: disable=EXC001 -- audited: send-to-dead-rank succeeds silently by contract (see _send_to)
+            pass
 
     def _forward(self, msg: Any) -> None:
         self._send_to(self.slots[msg.dest], wire.DELIVER, msg)

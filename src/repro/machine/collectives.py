@@ -323,9 +323,10 @@ def _uncharged_recv(comm: Any, source: int, tag: int) -> Any:
     state = base._state
     scheduler = state.scheduler
     if scheduler is not None:
-        # Event engine: park instead of polling; the dead-source check
-        # deliberately mirrors the thread path below (liveness only — a
-        # finished-but-alive source is a deadlock, not a fail-over).
+        # Simulator: park instead of polling; the dead-source check
+        # deliberately mirrors the process-backend path below (liveness
+        # only — a finished-but-alive source is a deadlock, not a
+        # fail-over).
         while True:
             try:
                 msg = state.router.collect(base.rank, gsource, tag, timeout=0.0)

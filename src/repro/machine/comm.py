@@ -63,18 +63,12 @@ class _SharedState:
         #: Communication-schedule recorder (commcheck extraction); None
         #: outside extraction runs, and purely observational when set.
         self.recorder = recorder
-        #: Happens-before race detector
-        #: (:class:`~repro.racecheck.sanitizer.RaceSanitizer`); installed
-        #: by the engine when sanitizing, None otherwise.  Every hook
-        #: below is guarded by a None-check, so an unsanitized run pays
-        #: one attribute load per synchronization point and nothing else.
-        self.sanitizer: Any = None
         #: Cooperative scheduler
         #: (:class:`~repro.machine.engines.event.EventEngine`); installed
-        #: by the event engine for the duration of its run, None under
-        #: the thread engine.  When set, blocking calls park on the
-        #: scheduler instead of polling the wall clock, and posts/deaths
-        #: issue deterministic wakes (docs/MACHINE.md "Engines").
+        #: by the engine for the duration of its run.  Blocking calls park
+        #: on it and posts/deaths issue deterministic wakes
+        #: (docs/MACHINE.md "Scheduler").  None outside a simulator run:
+        #: the process backend's rank-side state polls instead.
         self.scheduler: Any = None
         self.topology = topology or FullyConnected(size)
         self.router = router
@@ -166,14 +160,13 @@ class Communicator:
             return self._state.incarnations[rank]
 
     def _detector_yield(self) -> None:
-        """Cooperative yield at failure-detector reads (event engine only).
+        """Cooperative yield at failure-detector reads.
 
         Programs may legitimately busy-poll the detector ("spin until the
         replacement comes up"); under the one-runnable-rank scheduler such
         a loop would otherwise never let the observed rank run.  Yielding
         here keeps those loops live without charging any cost or touching
-        a fault point — detector reads are free in the model under both
-        engines.
+        a fault point — detector reads are free in the model.
         """
         scheduler = self._state.scheduler
         if scheduler is not None:
@@ -195,9 +188,6 @@ class Communicator:
                     r for r in candidates if not state.alive[r]
                 )
             dead = state.agreed_dead[key]
-        sanitizer = state.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_agree_dead(key)
         recorder = state.recorder
         if recorder is not None:
             recorder.on_agree_dead(
@@ -213,9 +203,6 @@ class Communicator:
         state = self._state
         with state.lock:
             state.votes.setdefault(key, {})[self.rank] = value
-        sanitizer = state.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_vote(key)
         recorder = state.recorder
         if recorder is not None:
             recorder.on_vote(
@@ -230,9 +217,6 @@ class Communicator:
         mistaken for the guarded ``_SharedState.votes`` field itself."""
         self._detector_yield()
         state = self._state
-        sanitizer = state.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_poll_votes(key)
         with state.lock:
             return dict(state.votes.get(key, {}))
 
@@ -245,19 +229,18 @@ class Communicator:
         that happened before the boundary.  Synchronization itself is
         runtime-provided and charged no cost (its ``O(log P)`` latency is
         dominated by the boundary's reduces).
-        """
-        import time
 
+        The rank parks on the scheduler with the set of participants still
+        missing; arrivals strike ranks off that set and wake it when it
+        empties (deaths wake everyone).  ``timeout`` survives only as the
+        quiescence priority.  (The process backend overrides this method.)
+        """
         state = self._state
         with state.lock:
             state.gates.setdefault(key, set()).add(self.rank)
-        sanitizer = state.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_gate_arrive(key)
         scheduler = state.scheduler
-        if scheduler is not None:
-            # Our arrival may complete a gate a parked peer is waiting on.
-            scheduler.on_gate_arrival(key, self.rank)
+        # Our arrival may complete a gate a parked peer is waiting on.
+        scheduler.on_gate_arrival(key, self.rank)
         recorder = state.recorder
         if recorder is not None:
             recorder.on_gate(
@@ -265,49 +248,18 @@ class Communicator:
                 self.incarnation,
             )
         limit = state.timeout if timeout is None else timeout
-        if scheduler is not None:
-            # Event engine: park on the scheduler with the set of
-            # participants still missing; arrivals strike ranks off that
-            # set and wake us when it empties (deaths wake everyone).
-            # ``limit`` survives only as the quiescence priority.
-            while True:
-                with state.lock:
-                    arrived = state.gates[key]
-                    pending = {
-                        p
-                        for p in participants
-                        if p not in arrived and state.alive[p]
-                    }
-                if not pending:
-                    if sanitizer is not None:
-                        sanitizer.on_gate_pass(key)
-                    return
-                if not scheduler.block_gate(self.rank, key, pending, limit):
-                    raise DeadlockError(
-                        f"rank {self.rank}: gate {key!r} never completed"
-                    )
-        # The gate's timeout is a *hang detector* for the real threads
-        # backing the simulation, not part of the simulated machine: a
-        # stuck peer thread is invisible in virtual time (its clock simply
-        # stops advancing), so only the host's wall clock can notice it.
-        # No virtual cost is charged here, and a healthy run's trace is
-        # unaffected by how long the polling actually took.
-        deadline = time.monotonic() + limit  # repro-lint: disable=DET001
         while True:
             with state.lock:
                 arrived = state.gates[key]
-                ready = all(
-                    (p in arrived) or not state.alive[p] for p in participants
-                )
-            if ready:
-                if sanitizer is not None:
-                    sanitizer.on_gate_pass(key)
+                pending = {
+                    p for p in participants if p not in arrived and state.alive[p]
+                }
+            if not pending:
                 return
-            if time.monotonic() > deadline:  # repro-lint: disable=DET001
+            if not scheduler.block_gate(self.rank, key, pending, limit):
                 raise DeadlockError(
                     f"rank {self.rank}: gate {key!r} never completed"
                 )
-            time.sleep(_POLL_INTERVAL)  # repro-lint: disable=DET001
 
     def dead_ranks(self, ranks: Sequence[int] | None = None) -> set[int]:
         """The perfect failure detector: dead ranks among ``ranks``."""
@@ -534,11 +486,6 @@ class Communicator:
             clock=self.clock.snapshot(),
             incarnation=self.incarnation,
         )
-        sanitizer = self._state.sanitizer
-        if sanitizer is not None:
-            # Registered before the post: once the message is in the
-            # router the receiver may match it at any moment.
-            sanitizer.on_send(msg)
         self._state.router.post(msg)
         scheduler = self._state.scheduler
         if scheduler is not None:
@@ -604,7 +551,7 @@ class Communicator:
         scheduler = state.scheduler
         msg: Message | None = None
         if scheduler is not None:
-            # Event engine: non-blocking poll, then park on the scheduler.
+            # Simulator: non-blocking poll, then park on the scheduler.
             # Nothing can change between a failed poll and the park (only
             # this rank is running), so the check-then-park is atomic; a
             # wake means "re-check", a False verdict means the machine
@@ -629,6 +576,8 @@ class Communicator:
                             f"rank {self.rank}: no message from {source} tag {tag} "
                             f"after {limit:.1f}s"
                         ) from None
+        # Process backend (no scheduler): poll the socket-fed router on
+        # the wall clock, failing over exactly like the scheduled path.
         waited = 0.0
         while msg is None:
             try:
@@ -662,11 +611,6 @@ class Communicator:
                         f"rank {self.rank}: no message from {source} tag {tag} "
                         f"after {limit:.1f}s"
                     ) from None
-        sanitizer = state.sanitizer
-        if sanitizer is not None:
-            # The send -> matched-recv happens-before edge, at the single
-            # point every delivered message passes through exactly once.
-            sanitizer.on_recv_message(msg)
         recorder = state.recorder
         if recorder is not None:
             recorder.on_recv(

@@ -2,14 +2,12 @@
 
 :class:`Machine` owns the shared state (router, memories, clocks, fault
 schedule) and runs a rank program — an ordinary Python function
-``program(comm, *args) -> result`` — one logical processor per rank.  How
-ranks are scheduled is the *engine*'s business (docs/MACHINE.md
-"Engines"): the default ``event`` engine is a deterministic cooperative
-scheduler (one runnable rank at a time, virtual-time quiescence for hang
-detection) that scales to thousands of ranks; the legacy ``thread``
-engine runs free OS threads and remains the differential-testing
-reference.  Either way the GIL is irrelevant to the model: we measure
-operation *counts*, not wall time.
+``program(comm, *args) -> result`` — one logical processor per rank.  Ranks
+are scheduled by :class:`~repro.machine.engines.event.EventEngine`
+(docs/MACHINE.md "Scheduler"), a deterministic cooperative scheduler (one
+runnable rank at a time, virtual-time quiescence for hang detection) that
+scales to thousands of ranks.  The GIL is irrelevant to the model: we
+measure operation *counts*, not wall time.
 
 :class:`RunResult` carries per-rank return values, the critical-path cost
 triple (element-wise max of the per-rank vector clocks — see
@@ -26,14 +24,14 @@ from typing import Any, Callable, Sequence
 
 from repro.machine.comm import Communicator, _SharedState
 from repro.machine.costs import Counts, CostModel, PhaseLedger
-from repro.machine.engines import resolve_engine
+from repro.machine.engines.event import EventEngine
 from repro.machine.errors import HardFault, MachineError
 from repro.machine.fault import FaultLog, FaultSchedule
 from repro.machine.memory import LocalMemory
 from repro.machine.network import Router
 from repro.obs.tracer import Tracer, make_tracer
 from repro.util.env import backend as backend_choice
-from repro.util.env import racecheck_enabled, scaled_timeout
+from repro.util.env import scaled_timeout
 
 __all__ = ["Machine", "RunResult", "merge_phase_costs", "raise_run_errors"]
 
@@ -85,10 +83,6 @@ class RunResult:
     trace: Tracer | None = None
     #: The tracer's aggregate metrics (None when tracing was off).
     metrics: Any = None
-    #: Race reports from the happens-before sanitizer
-    #: (:class:`~repro.racecheck.sanitizer.RaceReport`); always empty when
-    #: the run was not sanitized.
-    races: list[Any] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -139,18 +133,6 @@ class Machine:
         (``commcheck`` schedule extraction).  Purely observational — it
         records the communication structure and never alters costs,
         matching, or control flow.
-    sanitize:
-        Happens-before race detection switch (see
-        docs/STATIC_ANALYSIS.md "Race detection").  ``None`` (default)
-        defers to the ``REPRO_RACECHECK`` environment variable; ``True``
-        runs under a fresh
-        :class:`~repro.racecheck.sanitizer.RaceSanitizer`; ``False``
-        forces the detector off regardless of the environment; a
-        :class:`~repro.racecheck.sanitizer.RaceSanitizer` instance is
-        used directly (tests inspect it afterwards).  Race reports land
-        in ``RunResult.races``.  With the detector off nothing is
-        instrumented and the run is byte-identical to one on a build
-        without the sanitizer.
     backend:
         Execution backend: ``"sim"`` (in-process simulator),
         ``"proc"`` (one OS process per rank over localhost sockets — see
@@ -158,15 +140,6 @@ class Machine:
         ``REPRO_BACKEND`` at each :meth:`run`.  Both backends are
         conformance-gated to produce identical results and communication
         schedules.
-    engine:
-        Scheduling engine for the ``sim`` backend (docs/MACHINE.md
-        "Engines"): ``"event"`` (deterministic cooperative scheduler,
-        the default), ``"thread"`` (legacy free-running threads), or
-        ``None`` (default) to defer to ``REPRO_ENGINE`` at each
-        :meth:`run`.  Sanitized runs always use the thread engine —
-        race detection targets the concurrent implementation.  Both
-        engines are conformance-gated byte-identical
-        (tests/machine/test_engine_conformance.py).
     """
 
     def __init__(
@@ -179,9 +152,7 @@ class Machine:
         topology: Any = None,
         trace: Any = None,
         recorder: Any = None,
-        sanitize: Any = None,
         backend: str | None = None,
-        engine: str | None = None,
     ):
         if size <= 0:
             raise ValueError("size must be positive")
@@ -193,8 +164,6 @@ class Machine:
             )
         if backend not in (None, "sim", "proc"):
             raise ValueError(f"backend must be sim or proc, got {backend!r}")
-        if engine not in (None, "event", "thread"):
-            raise ValueError(f"engine must be event or thread, got {engine!r}")
         self.size = size
         self.memory_words = memory_words
         self.word_bits = word_bits
@@ -205,14 +174,10 @@ class Machine:
         self.topology = topology
         self.tracer = make_tracer(trace)
         self.recorder = recorder
-        self.sanitize = sanitize
         #: Explicit backend override; None defers to ``REPRO_BACKEND`` at
         #: each :meth:`run` (so scoping the variable around code that
         #: builds machines internally selects the backend for all of them).
         self.backend = backend
-        #: Explicit engine override; None defers to ``REPRO_ENGINE`` at
-        #: each :meth:`run`, mirroring the backend resolution.
-        self.engine = engine
 
     def run(
         self,
@@ -258,16 +223,11 @@ class Machine:
         )
         if tracer.enabled:
             self._wire_tracer(state, memories)
-        sanitizer = self._resolve_sanitizer()
-        if sanitizer is not None:
-            sanitizer.instrument(state)
         results: list[Any] = [None] * self.size
         errors: dict[int, BaseException] = {}
         lock = threading.Lock()
 
         def runner(rank: int) -> None:
-            if sanitizer is not None:
-                sanitizer.on_thread_begin(f"rank-{rank}")
             comm = Communicator(state, rank)
             try:
                 a = rank_args[rank] if rank_args is not None else args
@@ -289,14 +249,7 @@ class Machine:
                 with state.lock:
                     state.finished[rank] = True
 
-        if resolve_engine(self.engine, sanitizer) == "event":
-            from repro.machine.engines.event import EventEngine
-
-            EventEngine(state).execute(runner)
-        else:
-            from repro.machine.engines.thread import ThreadEngine
-
-            ThreadEngine(state, sanitizer).execute(runner)
+        EventEngine(state).execute(runner)
 
         # Engine completion is a happens-before edge, but take the same
         # lock the runners write under anyway: the snapshot must be safe
@@ -320,36 +273,9 @@ class Machine:
             trace=tracer if tracer.enabled else None,
             metrics=getattr(tracer, "metrics", None) if tracer.enabled else None,
         )
-        if sanitizer is not None:
-            from repro.racecheck.collector import publish_races
-
-            result.races = sanitizer.finish()
-            # Callers that cannot reach this RunResult (variants build
-            # their machines internally) drain reports via the collector.
-            publish_races(result.races)
         if errors and raise_on_error:
             raise_run_errors(errors)
         return result
-
-    def _resolve_sanitizer(self) -> Any:
-        """The sanitizer for this run, or None (the common case).
-
-        Resolution happens per run — not in ``__init__`` — so variant
-        factories that build machines internally pick up
-        ``REPRO_RACECHECK`` scoped by the racecheck runner around
-        ``spec.execute``."""
-        sanitize = self.sanitize
-        if sanitize is None:
-            if not racecheck_enabled():
-                return None
-            sanitize = True
-        if sanitize is False:
-            return None
-        from repro.racecheck.sanitizer import RaceSanitizer
-
-        if isinstance(sanitize, RaceSanitizer):
-            return sanitize
-        return RaceSanitizer()
 
     def _wire_tracer(self, state: _SharedState, memories: list[LocalMemory]) -> None:
         """Attach the fault-log and memory high-water observers.

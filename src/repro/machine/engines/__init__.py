@@ -1,43 +1,11 @@
-"""Scheduling engines for the in-process (``sim``) backend.
+"""The scheduler for the in-process (``sim``) backend.
 
-Two engines execute the same rank programs against the same shared state
-(:class:`~repro.machine.comm._SharedState`), and are conformance-gated to
-produce byte-identical results (docs/MACHINE.md "Engines"):
-
-:mod:`repro.machine.engines.event`
-    The default.  A deterministic cooperative scheduler: exactly one rank
-    runs at any instant, ranks hand control back at every blocking
-    Communicator call, and hangs are detected by virtual-time quiescence
-    instead of wall-clock timeouts.  Scales to thousands of ranks.
-
-:mod:`repro.machine.engines.thread`
-    The legacy free-running thread-per-rank engine, retained for one
-    release as the differential-testing reference and as the execution
-    vehicle for the happens-before race sanitizer (which targets the
-    concurrent implementation).
-
-Selection order (resolved per :meth:`~repro.machine.engine.Machine.run`):
-``Machine(engine=...)`` if given, else ``REPRO_ENGINE``, with sanitized
-runs always forced onto the thread engine.
+:mod:`repro.machine.engines.event` holds the one engine: a deterministic
+cooperative scheduler.  Exactly one rank runs at any instant, ranks hand
+control back at every blocking Communicator call, and hangs are detected
+by virtual-time quiescence instead of wall-clock timeouts.  It scales to
+thousands of ranks.  Its observable behaviour — products, per-rank costs,
+communication graphs, fault logs, campaign reports — is pinned by the
+committed goldens (tests/machine/goldens.json; docs/MACHINE.md
+"Scheduler").
 """
-
-from __future__ import annotations
-
-from typing import Any
-
-from repro.util.env import engine as engine_choice
-
-__all__ = ["resolve_engine"]
-
-
-def resolve_engine(explicit: str | None, sanitizer: Any) -> str:
-    """The engine name for one run.
-
-    ``explicit`` is the ``Machine(engine=)`` constructor override (None =
-    defer to ``REPRO_ENGINE``).  A sanitized run always uses the thread
-    engine: the race detector's happens-before model instruments real
-    concurrency, which the cooperative scheduler deliberately removes.
-    """
-    if sanitizer is not None:
-        return "thread"
-    return explicit if explicit is not None else engine_choice()

@@ -1,4 +1,4 @@
-"""The deterministic cooperative event engine (default).
+"""The deterministic cooperative event engine (the simulator's scheduler).
 
 Exactly one rank executes at any instant.  Every rank program runs on a
 *carrier* — an OS thread used purely as a suspendable call stack, never as
@@ -10,7 +10,7 @@ rank can run, so every check-then-park in :mod:`repro.machine.comm` is
 atomic by construction and the whole schedule is a deterministic function
 of the program — no seeds, no wall clock, no OS scheduler influence.
 
-Scheduling contract (docs/MACHINE.md "Engines"):
+Scheduling contract (docs/MACHINE.md "Scheduler"):
 
 - The ready queue is FIFO, seeded with ranks ``0..P-1`` in order.
 - A send wakes the destination iff it is parked on a matching
@@ -24,12 +24,12 @@ Hang detection is **virtual-time quiescence**, not wall clock: when the
 ready queue is empty but waiters remain, no rank can ever run again, so
 the machine is deadlocked *now* regardless of any timeout value.  The
 waiter with the smallest ``(timeout, rank)`` key is resumed with a
-``deadlock`` verdict and raises the same :class:`DeadlockError` the
-thread engine's watchdog would have produced — per-receive timeouts
-survive as deterministic priorities, not as durations.  The one wall
-clock left is a host-level backstop for a rank that never returns
-control at all (an infinite loop between yield points), bounded by the
-same ``join_grace`` the thread engine uses.
+``deadlock`` verdict and raises the :class:`DeadlockError` a wall-clock
+watchdog would have produced — per-receive timeouts survive as
+deterministic priorities, not as durations.  The one wall clock left is a
+host-level backstop for a rank that never returns control at all (an
+infinite loop between yield points), bounded by the same ``join_grace``
+the process backend's reaper uses.
 """
 
 from __future__ import annotations
@@ -158,8 +158,7 @@ class EventEngine:
                     self._batons[rank].set()
                     if not self._resume.wait(timeout=grace):
                         # The fiber never came back: it is looping without
-                        # touching a yield point.  Same surface as the
-                        # thread engine's join watchdog.
+                        # touching a yield point.
                         raise MachineError(
                             f"rank-{rank} failed to terminate (deadlock?)"
                         )

@@ -35,32 +35,12 @@ clock or entropy.
     Directory holding the pinned baseline records ``repro perf compare``
     gates against.  Default ``benchmarks/baselines``.
 
-``REPRO_RACECHECK``
-    Happens-before race detection (``1``/``true`` = on, default off): every
-    :class:`~repro.machine.engine.Machine` without an explicit
-    ``sanitize=`` argument runs under the
-    :class:`~repro.racecheck.sanitizer.RaceSanitizer`.  Purely diagnostic —
-    it never changes what a run computes — but it does slow runs down,
-    which is why it is opt-in (see docs/STATIC_ANALYSIS.md "Race
-    detection").
-
 ``REPRO_BACKEND``
     Execution backend for :class:`~repro.machine.engine.Machine` runs:
     ``sim`` (default, in-process simulator) or ``proc`` (one real OS
     process per rank exchanging messages over localhost sockets — see
     docs/MACHINE.md "Backends").  Conformance-gated: both backends
     produce bit-identical products and communication graphs.
-
-``REPRO_ENGINE``
-    Scheduling engine for the ``sim`` backend: ``event`` (default — the
-    deterministic cooperative scheduler, one runnable rank at a time
-    under virtual-time quiescence detection) or ``thread`` (the legacy
-    free-running thread-per-rank engine, retained for one release as the
-    differential-testing reference — see docs/MACHINE.md "Engines").
-    Conformance-gated: both engines produce byte-identical products,
-    costs, commcheck graphs and campaign reports.  Sanitized runs
-    (``REPRO_RACECHECK``/``sanitize=``) always use the thread engine,
-    the concurrent implementation race detection is aimed at.
 
 ``REPRO_HEARTBEAT``
     Rank heartbeat interval in seconds for the process backend (default
@@ -100,24 +80,19 @@ __all__ = [
     "start_method",
     "perf_dir",
     "perf_baseline",
-    "racecheck_enabled",
     "backend",
     "backend_scope",
-    "engine",
-    "engine_scope",
     "heartbeat_interval",
     "port_range",
     "proc_fault_mode",
 ]
 
 _SCALE_VAR = "REPRO_TIMEOUT_SCALE"
-_RACECHECK_VAR = "REPRO_RACECHECK"
 _JOBS_VAR = "REPRO_JOBS"
 _START_VAR = "REPRO_MP_START_METHOD"
 _PERF_DIR_VAR = "REPRO_PERF_DIR"
 _PERF_BASELINE_VAR = "REPRO_PERF_BASELINE"
 _BACKEND_VAR = "REPRO_BACKEND"
-_ENGINE_VAR = "REPRO_ENGINE"
 _HEARTBEAT_VAR = "REPRO_HEARTBEAT"
 _PORT_RANGE_VAR = "REPRO_PORT_RANGE"
 _PROC_FAULTS_VAR = "REPRO_PROC_FAULTS"
@@ -131,8 +106,8 @@ _PROC_FAULTS_VAR = "REPRO_PROC_FAULTS"
 _POLL_INTERVAL = 0.02
 
 #: Grace multiplier on the machine timeout that bounds how long the
-#: engine waits for a rank (thread or process) to terminate after the
-#: per-receive watchdog has already had its chance to fire.
+#: simulator waits for a rank to hand back control (or the process
+#: backend for a rank process to terminate) once its work should be done.
 _JOIN_GRACE_FACTOR = 4.0
 
 
@@ -176,8 +151,8 @@ def poll_interval() -> float:
 def join_grace(timeout: float) -> float:
     """How long to wait for a rank to terminate once its work should be
     done: the (already scaled) machine ``timeout`` times a fixed grace
-    factor.  Shared by the simulator's thread joins and the process
-    backend's shutdown reaper so both backends give up in step."""
+    factor.  Shared by the simulator's scheduler and the process backend's
+    shutdown reaper so both backends give up in step."""
     return timeout * _JOIN_GRACE_FACTOR
 
 
@@ -210,23 +185,6 @@ def perf_dir() -> str | None:
 def perf_baseline() -> str | None:
     """Baseline directory override (``REPRO_PERF_BASELINE``), or ``None``."""
     return _path_var(_PERF_BASELINE_VAR)
-
-
-def racecheck_enabled() -> bool:
-    """Whether the race detector is on by default (``REPRO_RACECHECK``).
-
-    Accepts the usual boolean spellings; anything else raises
-    :class:`ValueError` rather than silently running unsanitized.
-    """
-    raw = os.environ.get(_RACECHECK_VAR)
-    if raw is None or not raw.strip():
-        return False
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{_RACECHECK_VAR} must be a boolean flag, got {raw!r}")
 
 
 def start_method() -> str:
@@ -272,40 +230,6 @@ def backend_scope(name: str) -> Iterator[None]:
             os.environ.pop(_BACKEND_VAR, None)
         else:
             os.environ[_BACKEND_VAR] = previous
-
-
-def engine() -> str:
-    """Sim-backend scheduling engine (``REPRO_ENGINE``: ``event``/``thread``)."""
-    raw = os.environ.get(_ENGINE_VAR, "").strip()
-    if not raw:
-        return "event"
-    if raw not in ("event", "thread"):
-        raise ValueError(f"{_ENGINE_VAR} must be event or thread, got {raw!r}")
-    return raw
-
-
-@contextmanager
-def engine_scope(name: str) -> Iterator[None]:
-    """Scope ``REPRO_ENGINE`` to ``name`` for the duration of the block.
-
-    Mirrors :func:`backend_scope`: the engine is resolved per
-    :meth:`~repro.machine.engine.Machine.run`, so scoping the variable
-    around a call that builds machines internally (campaign trials,
-    commcheck extraction) selects the engine for every machine in that
-    call — including ones constructed in worker processes, which inherit
-    the environment.
-    """
-    if name not in ("event", "thread"):
-        raise ValueError(f"engine must be event or thread, got {name!r}")
-    previous = os.environ.get(_ENGINE_VAR)
-    os.environ[_ENGINE_VAR] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(_ENGINE_VAR, None)
-        else:
-            os.environ[_ENGINE_VAR] = previous
 
 
 def proc_fault_mode() -> str:

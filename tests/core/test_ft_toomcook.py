@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from repro.core.api import multiply_fault_tolerant, multiply_parallel, multiply_replicated
 from repro.core.ft_toomcook import FaultTolerantToomCook
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import make_plan
+from repro.core.replication import ReplicatedToomCook
+from repro.machine.errors import MachineError, MemoryExceeded
 from repro.machine.fault import FaultEvent, FaultSchedule
 
 
@@ -163,3 +166,36 @@ class TestOverheadClaims:
         assert clean.product == faulted.product == a * b
         # A multiplication-window fault adds only recovery-boundary costs.
         assert faulted.run.critical_path.f <= 1.25 * clean.run.critical_path.f
+
+
+class TestLoudFatalErrors:
+    """A fatal rank error (not a tolerated hard fault) must raise, never
+    come back as ``product == 0`` with only ``run.ok`` to tell."""
+
+    def test_memory_exceeded_raises_like_multiply_parallel(self):
+        a, b = operands(n_bits=1000, seed=11)
+        kwargs = {"p": 9, "k": 2, "word_bits": 16, "m_words": 40}
+        with pytest.raises(MachineError):
+            multiply_parallel(a, b, **kwargs)
+        with pytest.raises(MachineError) as info:
+            multiply_fault_tolerant(a, b, f=1, **kwargs)
+        assert isinstance(info.value.__cause__, MemoryExceeded)
+
+    def test_opt_out_returns_failed_outcome(self):
+        a, b = operands(n_bits=1000, seed=11)
+        plan = make_plan(1000, p=9, k=2, word_bits=16, m_words=40)
+        algo = FaultTolerantToomCook(plan, f=1, memory_words=40)
+        out = algo.multiply(a, b, raise_on_error=False)
+        assert not out.run.ok and out.product == 0
+
+    def test_replicated_untyped_rank_crash_raises(self, monkeypatch):
+        def crash(self, comm, va, vb):
+            if comm.rank == 0:
+                raise RuntimeError("rank program bug")
+            return original(self, comm, va, vb)
+
+        original = ReplicatedToomCook._rank_main
+        monkeypatch.setattr(ReplicatedToomCook, "_rank_main", crash)
+        a, b = operands(n_bits=600, seed=12)
+        with pytest.raises(MachineError, match="rank program bug"):
+            multiply_replicated(a, b, p=9, k=2, f=1, word_bits=16)

@@ -319,7 +319,7 @@ def test_lock_on_base_class_in_other_file_resolves(lint):
 def test_module_level_annotation_checks_module_names(lint):
     clean = lint(
         {
-            "racecheck/sink.py": """\
+            "parallel/sink.py": """\
     import threading
 
     _mu = threading.Lock()
@@ -331,7 +331,7 @@ def test_module_level_annotation_checks_module_names(lint):
     assert rule_ids(clean) == []
     stale = lint(
         {
-            "racecheck/sink.py": """\
+            "parallel/sink.py": """\
     _sink = None  # guarded-by: _mu
     """,
         },

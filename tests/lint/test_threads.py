@@ -59,13 +59,6 @@ class TestThreadCreation:
     def test_engines_exempt(self, lint):
         result = lint(
             {
-                "machine/engines/thread.py": """\
-    import threading
-
-
-    def spawn(runner, r):
-        return threading.Thread(target=runner, args=(r,), daemon=True)
-    """,
                 "machine/engines/event.py": """\
     import threading
 

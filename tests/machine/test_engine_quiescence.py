@@ -1,20 +1,18 @@
 """Virtual-time quiescence: deadlock detection without wall-clock waits.
 
-The thread engine detects a wedged receive by *waiting out* the caller's
-timeout — a genuine deadlock costs real seconds, and the per-receive
-timeout doubles as both a correctness parameter and a latency knob.  The
-event engine replaces that with quiescence detection: when every live
-rank is parked and no message can arrive, the scheduler picks the waiter
-with the smallest ``(timeout, rank)`` key and fails it with the exact
-DeadlockError the thread engine would have raised — in microseconds of
-wall time, regardless of how large the timeout is.
+A wall-clock watchdog detects a wedged receive by *waiting out* the
+caller's timeout — a genuine deadlock costs real seconds, and the
+per-receive timeout doubles as both a correctness parameter and a latency
+knob.  The event engine replaces that with quiescence detection: when
+every live rank is parked and no message can arrive, the scheduler picks
+the waiter with the smallest ``(timeout, rank)`` key and fails it with a
+DeadlockError — in microseconds of wall time, regardless of how large the
+timeout is.
 
-These are the regression tests for that swap (the PR that introduced the
-event engine also fixed the wall-clock-coupled hang detection).  The
-finished-rank fixtures pin the PR 3 semantics — a receive from a rank
-that returned without sending fails over as PeerDead *promptly* on both
-engines — and the huge-timeout deadlock tests pin the new contract: the
-event engine's detection latency is independent of the timeout value.
+The finished-rank fixtures pin the fail-over semantics — a receive from a
+rank that returned without sending fails over as PeerDead *promptly* —
+and the huge-timeout deadlock tests pin the scheduler's contract: its
+detection latency is independent of the timeout value.
 """
 
 from __future__ import annotations
@@ -25,26 +23,22 @@ import pytest
 
 from repro.machine.engine import Machine
 from repro.machine.errors import DeadlockError, PeerDead
-from repro.machine.fault import FaultSchedule
 
-_ENGINES = ("thread", "event")
-
-#: Far beyond any test runner's patience: if either engine ever waits
+#: Far beyond any test runner's patience: if the scheduler ever waits
 #: this out in wall-clock time, the suite hangs and CI flags it.
 _HUGE_TIMEOUT = 3600.0
 
 
-def _run(size, program, *, engine, timeout, raise_on_error=True):
-    machine = Machine(size, timeout=timeout, engine=engine)
+def _run(size, program, *, timeout, raise_on_error=True):
+    machine = Machine(size, timeout=timeout)
     return machine.run(program, raise_on_error=raise_on_error)
 
 
 class TestFinishedRankFailover:
-    """The PR 3 fixture, now pinned on both engines: a recv from a rank
-    that finished without sending is PeerDead, not a timeout."""
+    """A recv from a rank that finished without sending is PeerDead, not
+    a timeout."""
 
-    @pytest.mark.parametrize("engine", _ENGINES)
-    def test_recv_from_finished_rank_is_peer_dead(self, engine):
+    def test_recv_from_finished_rank_is_peer_dead(self):
         def program(comm):
             if comm.rank == 0:
                 return None  # finishes without ever sending
@@ -52,12 +46,12 @@ class TestFinishedRankFailover:
                 comm.recv(0)  # fails over promptly, no timeout needed
             return "failed over"
 
-        res = _run(2, program, engine=engine, timeout=30)
+        res = _run(2, program, timeout=30)
         assert res.results[1] == "failed over"
 
     def test_failover_latency_is_not_the_timeout(self):
-        """Under the event engine the failover must be near-instant even
-        with an absurd machine timeout — quiescence, not clock-watching."""
+        """The failover must be near-instant even with an absurd machine
+        timeout — quiescence, not clock-watching."""
 
         def program(comm):
             if comm.rank == 0:
@@ -67,7 +61,7 @@ class TestFinishedRankFailover:
             return "failed over"
 
         start = time.monotonic()
-        res = _run(2, program, engine="event", timeout=_HUGE_TIMEOUT)
+        res = _run(2, program, timeout=_HUGE_TIMEOUT)
         elapsed = time.monotonic() - start
         assert res.results[1] == "failed over"
         assert elapsed < 30.0, f"failover took {elapsed:.1f}s wall-clock"
@@ -75,9 +69,9 @@ class TestFinishedRankFailover:
 
 class TestQuiescenceDeadlock:
     def test_genuine_deadlock_detected_without_waiting(self):
-        """Two ranks each waiting on the other: the event engine must
+        """Two ranks each waiting on the other: the scheduler must
         diagnose the cycle by quiescence — promptly despite an hour-long
-        timeout — and raise the thread engine's exact error shape."""
+        timeout — and raise a DeadlockError naming the missing sender."""
 
         def program(comm):
             comm.recv(1 - comm.rank)  # nobody ever sends
@@ -86,7 +80,6 @@ class TestQuiescenceDeadlock:
         res = _run(
             2,
             program,
-            engine="event",
             timeout=_HUGE_TIMEOUT,
             raise_on_error=False,
         )
@@ -99,29 +92,10 @@ class TestQuiescenceDeadlock:
         assert isinstance(res.errors.get(0), DeadlockError)
         assert "no message from 1" in str(res.errors[0])
 
-    def test_deadlock_error_class_matches_thread_engine(self):
-        """Same program, short thread-engine timeout: both engines must
-        surface the same failure class and message shape, so campaign
-        verdicts (HANG) agree across engines."""
-
-        def program(comm):
-            comm.recv(1 - comm.rank)
-
-        thread_res = _run(
-            2, program, engine="thread", timeout=0.2, raise_on_error=False
-        )
-        event_res = _run(
-            2, program, engine="event", timeout=0.2, raise_on_error=False
-        )
-        for res in (thread_res, event_res):
-            assert any(
-                isinstance(err, DeadlockError) for err in res.errors.values()
-            )
-
     def test_gate_deadlock_detected_by_quiescence(self):
         """A gate that can never complete (one participant already
-        returned) must fail by quiescence under the event engine, with
-        the gate error message, not a wall-clock wait."""
+        returned) must fail by quiescence, with the gate error message,
+        not a wall-clock wait."""
 
         def program(comm):
             if comm.rank == 0:
@@ -132,7 +106,6 @@ class TestQuiescenceDeadlock:
         res = _run(
             2,
             program,
-            engine="event",
             timeout=_HUGE_TIMEOUT,
             raise_on_error=False,
         )
@@ -157,7 +130,6 @@ class TestQuiescenceDeadlock:
             res = _run(
                 4,
                 program,
-                engine="event",
                 timeout=_HUGE_TIMEOUT,
                 raise_on_error=False,
             )

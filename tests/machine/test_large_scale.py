@@ -1,8 +1,8 @@
 """Large-P scale tests: thousands of ranks under the event engine.
 
-The thread engine tops out around a few hundred ranks (free-running OS
-threads contending for the GIL and one lock); the event engine runs
-exactly one rank at a time, so P is bounded by memory, not scheduling.
+Free-running OS threads top out around a few hundred ranks (contending
+for the GIL and one lock); the event engine runs exactly one rank at a
+time, so P is bounded by memory, not scheduling.
 These tests pin that headline at the geometries the paper cares about:
 
 - a 1024-column linear-code grid (P = 4096) running the Section 4.1
@@ -17,9 +17,9 @@ These tests pin that headline at the geometries the paper cares about:
 Each test carries a generous wall-clock ceiling — not a perf target but
 a liveness tripwire: a quadratic-in-P regression in the scheduler's wake
 paths (the gate index, the liveness broadcast) shows up here as a
-timeout long before anyone tries P = 10^5.  ``perf``-marked; the
-``engine-conformance`` CI job runs this file explicitly (the P = 4096
-run is an acceptance criterion).
+timeout long before anyone tries P = 10^5.  ``perf``-marked but not
+deselected, so tier-1 runs it (the P = 4096 run is an acceptance
+criterion).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def test_ft_linear_grid_p4096_completes():
             rank_args.append((None,))
 
     start = time.monotonic()
-    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0, engine="event")
+    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0)
     res = machine.run(program, rank_args=rank_args)
     elapsed = time.monotonic() - start
 
@@ -155,7 +155,7 @@ def test_ft_polynomial_layout_p2187_completes():
     ]
 
     start = time.monotonic()
-    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0, engine="event")
+    machine = Machine(size, word_bits=_WORD_BITS, timeout=60.0)
     res = machine.run(program, rank_args=rank_args)
     elapsed = time.monotonic() - start
 
