@@ -18,8 +18,7 @@ Run:  python examples/polynomial_products.py
 
 from fractions import Fraction
 
-from repro.bigint.blockops import apply_matrix_to_blocks
-from repro.bigint.evalpoints import toom_points
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
 from repro.bigint.lazy import LazyToomCook
 from repro.bigint.limbs import LimbVector
 from repro.bigint.matrices import toom_operators
@@ -59,20 +58,18 @@ def bilinear_form() -> list[int]:
 
 def blockwise_bilinear() -> list[int]:
     # The same bilinear form applied to coefficient *blocks* — this is
-    # what every processor of the parallel algorithm does to its slice.
-    u, v, w_t = toom_operators(k=2)
+    # what every processor of the parallel algorithm does to its slice,
+    # with each operator compiled once to integer rows.
+    u, v, w_t = (BlockOperator.compile(m.rows) for m in toom_operators(k=2))
     p_blocks = LimbVector(P_COEFFS, BASE_BITS).split_blocks(2)
     q_blocks = LimbVector(Q_COEFFS, BASE_BITS).split_blocks(2)
-    pe = apply_matrix_to_blocks(u.rows, p_blocks)
-    qe = apply_matrix_to_blocks(v.rows, q_blocks)
+    pe, _ = apply_matrix_to_blocks(u, p_blocks)
+    qe, _ = apply_matrix_to_blocks(v, q_blocks)
     pointwise = [a.convolve(b) for a, b in zip(pe, qe)]
-    coeffs = apply_matrix_to_blocks(w_t.rows, pointwise)
+    coeffs, _ = apply_matrix_to_blocks(w_t, pointwise)
     # Overlap-add the three degree-2 blocks at offsets 0, 2, 4.
-    out = [0] * 7
-    for m, block in enumerate(coeffs):
-        for t, val in enumerate(block):
-            out[2 * m + t] += val
-    return out
+    out, _ = overlap_add(coeffs, [0, 2, 4], 7)
+    return list(out)
 
 
 def main() -> None:

@@ -1,78 +1,125 @@
-"""Applying exact rational matrices to vectors of limb blocks.
+"""Toom operators compiled for vectors of limb blocks, and overlap-add.
 
-Evaluation matrices are integral, but interpolation matrices ``W^T`` have
-rational entries whose *row combinations* are guaranteed integral on valid
-inputs even though individual terms are not (e.g. a ``1/2`` entry hitting
-an odd block).  :func:`apply_matrix_to_blocks` therefore clears each row's
-denominators first — integer combination, then one exact division by the
-row's LCM — keeping every intermediate an integer :class:`LimbVector`.
-
-These helpers are shared by the sequential lazy algorithm
+Interpolation matrices ``W^T`` have rational entries whose *row
+combinations* are integral on valid inputs even though single terms are
+not (a ``1/2`` entry hitting an odd block).  A :class:`BlockOperator`
+therefore stores each row scaled by its denominator LCM, compiled once
+(the precomputed-operator view of Kronenburg, "Toom-Cook Multiplication:
+Some Theoretical and Practical Aspects"): :func:`apply_matrix_to_blocks`
+forms the integer combination, then divides exactly by the LCM.  Both
+kernels return their word-operation cost beside the result, so the flop
+model has one source.  The sequential lazy algorithm
 (:mod:`repro.bigint.lazy`) and the parallel algorithms in
-:mod:`repro.core`, which apply the same matrices to *distributed* block
-slices.
+:mod:`repro.core` share them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterable, Sequence
 
 from repro.bigint.limbs import LimbVector
 
-__all__ = ["apply_matrix_to_blocks", "matrix_apply_flops", "row_lcm"]
+__all__ = ["BlockOperator", "apply_matrix_to_blocks", "overlap_add"]
 
 
-def row_lcm(row) -> int:
-    """LCM of the denominators of one matrix row."""
-    d = 1
-    for v in row:
-        d = lcm(d, Fraction(v).denominator)
-    return d
+@dataclass(frozen=True)
+class BlockOperator:
+    """A rational matrix compiled for blockwise application.
+
+    ``rows[i]`` is row ``i`` times ``lcms[i]``, the LCM of its
+    denominators, so every stored coefficient is an integer.  ``cost`` is
+    the per-limb word-operation count of one application: two ops
+    (multiply + accumulate) per nonzero coefficient, plus one for each
+    row needing a final exact division.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    lcms: tuple[int, ...]
+    width: int
+    cost: int
+
+    @classmethod
+    def compile(cls, matrix: Iterable[Sequence]) -> "BlockOperator":
+        """Compile a matrix given as rows of ints or Fractions."""
+        rows, lcms, cost = [], [], 0
+        for row in matrix:
+            fracs = [Fraction(v) for v in row]
+            d = lcm(*(v.denominator for v in fracs))
+            rows.append(tuple(int(v * d) for v in fracs))
+            lcms.append(d)
+            cost += _row_cost(rows[-1], d)
+        widths = {len(r) for r in rows}
+        if len(widths) != 1:
+            raise ValueError(f"rows must be non-empty and of one width, got {widths}")
+        return cls(tuple(rows), tuple(lcms), widths.pop(), cost)
+
+    def row(self, i: int) -> "BlockOperator":
+        """The one-row operator of row ``i`` (a DFS step's evaluation)."""
+        row, d = self.rows[i], self.lcms[i]
+        return BlockOperator((row,), (d,), self.width, _row_cost(row, d))
 
 
-def apply_matrix_to_blocks(rows, blocks: list[LimbVector]) -> list[LimbVector]:
-    """Compute ``rows @ blocks`` where entries of ``blocks`` are
-    :class:`LimbVector` and ``rows`` is a rational matrix.
+def _row_cost(row: tuple[int, ...], d: int) -> int:
+    return 2 * sum(1 for c in row if c) + (d != 1)
 
-    Each output row is computed as an *integer* linear combination scaled
-    by the row's denominator LCM, followed by one exact division — raising
-    ``ValueError`` if the result is not integral (which on valid Toom-Cook
-    data never happens and otherwise indicates corruption, e.g. an
-    undetected soft fault).
+
+def apply_matrix_to_blocks(
+    op: BlockOperator, blocks: Sequence[LimbVector]
+) -> tuple[list[LimbVector], int]:
+    """Compute ``op @ blocks`` and its flop count ``op.cost * len(block)``.
+
+    Each output row is an *integer* linear combination of the blocks
+    followed by one exact division by the row's LCM — raising
+    ``ValueError`` if the result is not integral (which on valid
+    Toom-Cook data never happens and otherwise indicates corruption, e.g.
+    an undetected soft fault).
     """
     if not blocks:
         raise ValueError("blocks must be non-empty")
-    width = len(blocks[0])
+    if op.width != len(blocks):
+        raise ValueError(f"row width {op.width} does not match {len(blocks)} blocks")
+    length = len(blocks[0])
     base_bits = blocks[0].base_bits
+    limbs = [b.limbs for b in blocks]
+    if any(len(b) != length or b.base_bits != base_bits for b in blocks):
+        raise ValueError("blocks differ in length or radix")
     out: list[LimbVector] = []
-    for row in rows:
-        if len(row) != len(blocks):
-            raise ValueError(
-                f"row width {len(row)} does not match {len(blocks)} blocks"
-            )
-        d = row_lcm(row)
-        acc: LimbVector | None = None
-        for coef, block in zip(row, blocks):
-            c = Fraction(coef) * d
-            if c == 0:
-                continue
-            term = block * int(c)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = LimbVector.zeros(width, base_bits)
-        out.append(acc.exact_div(d) if d != 1 else acc)
-    return out
+    for row, d in zip(op.rows, op.lcms):
+        acc = [0] * length
+        for c, src in zip(row, limbs):
+            if c == 1:
+                acc = [a + x for a, x in zip(acc, src)]
+            elif c == -1:
+                acc = [a - x for a, x in zip(acc, src)]
+            elif c:
+                acc = [a + c * x for a, x in zip(acc, src)]
+        if d != 1:
+            quotients = []
+            for a in acc:
+                q, r = divmod(a, d)
+                if r:
+                    raise ValueError(f"{a} is not divisible by {d}")
+                quotients.append(q)
+            acc = quotients
+        out.append(LimbVector(acc, base_bits))
+    return out, op.cost * length
 
 
-def matrix_apply_flops(rows, block_len: int) -> int:
-    """Word-operation cost model for :func:`apply_matrix_to_blocks`:
-    two ops (multiply + accumulate) per nonzero coefficient per limb,
-    plus one per limb for each row needing a final exact division."""
+def overlap_add(
+    coeffs: Sequence[LimbVector], offsets: Iterable[int], length: int
+) -> tuple[LimbVector, int]:
+    """Sum each coefficient block into a ``length``-limb zero vector at
+    its offset — the reassembly after interpolation — charging one
+    operation per added limb."""
+    out = [0] * length
     flops = 0
-    for row in rows:
-        nnz = sum(1 for v in row if v)
-        flops += 2 * nnz * block_len
-        if row_lcm(row) != 1:
-            flops += block_len
-    return flops
+    for block, off in zip(coeffs, offsets):
+        end = off + len(block)
+        if off < 0 or end > length:
+            raise ValueError(f"block [{off}, {end}) exceeds {length} limbs")
+        out[off:end] = [a + v for a, v in zip(out[off:end], block.limbs)]
+        flops += len(block)
+    return LimbVector(out, coeffs[0].base_bits), flops

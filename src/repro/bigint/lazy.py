@@ -11,7 +11,7 @@ cleanly with it.
 
 from __future__ import annotations
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
 from repro.bigint.evalpoints import EvalPoint, toom_points
 from repro.bigint.limbs import LimbVector
 from repro.bigint.matrices import toom_operators
@@ -41,7 +41,9 @@ class LazyToomCook:
         self.k = k
         self.threshold_bits = threshold_bits
         self.points = list(points) if points is not None else toom_points(k)
-        self.U, self.V, self.W_T = toom_operators(k, self.points)
+        u, _, w_t = toom_operators(k, self.points)
+        self.U = self.V = BlockOperator.compile(u.rows)
+        self.W_T = BlockOperator.compile(w_t.rows)
 
     def multiply(self, a: int, b: int, depth: int | None = None) -> tuple[int, int]:
         """Return ``(a*b, flops)``."""
@@ -80,10 +82,9 @@ class LazyToomCook:
         block_len = k ** (depth - 1)
 
         # Blockwise evaluation (Algorithm 2 lines 6-7).
-        a_evals = apply_matrix_to_blocks(self.U.rows, blocks_a)
-        b_evals = apply_matrix_to_blocks(self.V.rows, blocks_b)
-        flops = matrix_apply_flops(self.U.rows, block_len)
-        flops += matrix_apply_flops(self.V.rows, block_len)
+        a_evals, flops_a = apply_matrix_to_blocks(self.U, blocks_a)
+        b_evals, flops_b = apply_matrix_to_blocks(self.V, blocks_b)
+        flops = flops_a + flops_b
 
         # Recursive pointwise products (lines 8-14).
         c_evals: list[LimbVector] = []
@@ -92,18 +93,13 @@ class LazyToomCook:
             c_evals.append(c)
             flops += fl
 
-        # Blockwise interpolation (line 15).
-        coeffs = apply_matrix_to_blocks(self.W_T.rows, c_evals)
-        flops += matrix_apply_flops(self.W_T.rows, len(c_evals[0]))
-
-        # Overlap-add reassembly: result[m*k^(d-1) + t] += coeffs[m][t].
-        out = [0] * (2 * k**depth - 1)
-        for m, block in enumerate(coeffs):
-            off = m * block_len
-            for t, v in enumerate(block):
-                out[off + t] += v
-        flops += len(coeffs) * len(coeffs[0])
-        return LimbVector(out, va.base_bits), flops
+        # Blockwise interpolation (line 15), then overlap-add reassembly:
+        # result[m*k^(d-1) + t] += coeffs[m][t].
+        coeffs, fl = apply_matrix_to_blocks(self.W_T, c_evals)
+        out, fl_add = overlap_add(
+            coeffs, range(0, len(coeffs) * block_len, block_len), 2 * k**depth - 1
+        )
+        return out, flops + fl + fl_add
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LazyToomCook(k={self.k}, threshold_bits={self.threshold_bits})"

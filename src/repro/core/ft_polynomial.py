@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks
 from repro.bigint.evalpoints import extended_toom_points
 from repro.bigint.limbs import LimbVector
 from repro.bigint.matrices import interpolation_matrix_for_points
+from repro.core.layout import CyclicLayout, cyclic_deinterleave, cyclic_merge
 from repro.core.parallel_toomcook import (
     TAG_BFS_DOWN,
     TAG_BFS_UP,
@@ -39,8 +40,9 @@ from repro.core.parallel_toomcook import (
     ParallelToomCook,
 )
 from repro.core.plan import ExecutionPlan
-from repro.machine.errors import MachineError, PeerDead
+from repro.machine.errors import DeadlockError, HardFault, MachineError, PeerDead
 from repro.machine.fault import FaultSchedule
+from repro.util.rational import FractionMatrix
 
 __all__ = ["PolynomialCodedToomCook", "ColumnKilled", "FaultToleranceExceeded"]
 
@@ -64,11 +66,20 @@ class PolynomialCodedToomCook(ParallelToomCook):
     f:
         Number of tolerated hard faults = redundant evaluation points =
         code columns of ``P/(2k-1)`` processors each.
+
+    This class owns the coded step that the multi-step, soft-fault and
+    combined variants re-parametrize (:meth:`_configure_code`): an
+    operator evaluating ``split`` operand blocks for the ``need + f``
+    columns, a recursion ``levels`` deep inside each column, and a
+    decoder (:meth:`_interpolate_columns`) over the collected columns.
     """
 
     #: Class default; instances override via the ``eager`` constructor
     #: argument.  Subclasses that bypass this constructor inherit False.
     eager = False
+    #: Erasure decoding stops collecting at ``need`` columns; soft-fault
+    #: decoding collects every live column.
+    collect_all = False
 
     def __init__(
         self,
@@ -93,40 +104,50 @@ class PolynomialCodedToomCook(ParallelToomCook):
             )
         if plan.l_bfs < 1:
             raise ValueError("need at least one BFS step to apply the code")
-        points = extended_toom_points(plan.k, f)
         super().__init__(
             plan,
-            points=points,
+            points=extended_toom_points(plan.k, f),
             memory_words=memory_words,
             fault_schedule=fault_schedule,
             timeout=timeout,
         )
+        self._configure_code(f, self.U, levels=1)
+        self.eager = eager
+
+    def _configure_code(self, f: int, operator: BlockOperator, levels: int) -> None:
+        """Install the coded step: ``operator`` maps ``k**levels`` operand
+        blocks to the evaluations of the ``need = (2k-1)**levels``
+        standard plus ``f`` code columns, and each column then runs the
+        standard recursion from level ``l_dfs + levels``."""
+        plan = self.plan
         self.f = f
-        self.g2 = plan.p // plan.q  # processors per column at the coded step
+        self.coded_op = operator
+        self.levels = levels
+        self.split = plan.k**levels
+        self.need = plan.q**levels
+        self.g2 = plan.p // self.need  # processors per column at the coded step
         # Global rank at which the poly-code columns start (the combined
         # algorithm moves this past its linear-code rows).
         self._poly_code_base = plan.p
-        # How many ways the coded step fans out to standard columns (the
-        # multi-step variant raises this to (2k-1)**l).
-        self._coded_fanout = plan.q
-        self.eager = eager
+        # Compiled decoders, keyed by the chosen columns.
+        self._decoders: dict[tuple[int, ...], BlockOperator] = {}
 
     # -- machine geometry ---------------------------------------------------
     def machine_size(self) -> int:
-        """``P`` standard plus ``f * P/(2k-1)`` code processors."""
+        """``P`` standard plus ``f * P/need`` code processors."""
         return self.plan.p + self.f * self.g2
 
     def n_columns(self) -> int:
-        return self.plan.q + self.f
+        return self.need + self.f
 
     def column_members(self, j: int) -> list[int]:
         """Global ranks of column ``j`` at the coded step (class-ordered)."""
         if not (0 <= j < self.n_columns()):
             raise ValueError(f"column {j} out of range")
-        if j < self.plan.q:
+        if j < self.need:
             return list(range(j * self.g2, (j + 1) * self.g2))
         return [
-            self._poly_code_base + (j - self.plan.q) * self.g2 + c
+            self._poly_code_base + (j - self.need) * self.g2 + c
             for c in range(self.g2)
         ]
 
@@ -134,17 +155,19 @@ class PolynomialCodedToomCook(ParallelToomCook):
         args: list[tuple] = [
             (slices_a[r], slices_b[r]) for r in range(self.plan.p)
         ]
-        args.extend([(None, None)] * (self.f * self.g2))
+        args.extend([(None, None)] * (self.machine_size() - self.plan.p))
         return args
 
     # -- rank program ---------------------------------------------------------
     def _rank_main(self, comm, va, vb):
-        from repro.machine.errors import HardFault
-
+        ctx = {"scope": 0, "guard": self._make_guard()}
         try:
             if comm.rank < self.plan.p:
-                return self._standard_main(comm, va, vb)
-            return self._code_main(comm)
+                comm.memory.allocate(
+                    "operands", va.words(comm.word_bits) + vb.words(comm.word_bits)
+                )
+                return self._coded_step(comm, va, vb, ctx)
+            return self._coded_column(comm, ctx)
         except HardFault:
             # Hard fault: the replacement processor takes over this grid
             # position.  Its column is dead (no recovery mechanism in the
@@ -168,7 +191,7 @@ class PolynomialCodedToomCook(ParallelToomCook):
     def _my_column(self, comm) -> int:
         if comm.rank < self.plan.p:
             return comm.rank // self.g2
-        return self.plan.q + (comm.rank - self._poly_code_base) // self.g2
+        return self.need + (comm.rank - self._poly_code_base) // self.g2
 
     def _make_guard(self, task: int = 0):
         members_by_rank = {}
@@ -183,59 +206,61 @@ class PolynomialCodedToomCook(ParallelToomCook):
 
         return guard
 
-    def _standard_main(self, comm, va: LimbVector, vb: LimbVector):
-        plan = self.plan
-        comm.memory.allocate(
-            "operands", va.words(comm.word_bits) + vb.words(comm.word_bits)
-        )
-        ctx = {"scope": 0, "guard": self._make_guard()}
-        # Coded step: evaluate at all 2k-1+f points, repartition to q+f
-        # columns, then standard recursion inside the column.
+    # -- the coded step ----------------------------------------------------------
+    def _coded_step(self, comm, va: LimbVector, vb: LimbVector, ctx: dict) -> LimbVector:
+        """A standard rank's coded step: evaluate at every column's point,
+        repartition onto the ``need + f`` columns, run the column's
+        recursion, then interpolate from the surviving columns."""
         with comm.phase("evaluation"):
-            evals_a = apply_matrix_to_blocks(self.U.rows, va.split_blocks(plan.k))
-            evals_b = apply_matrix_to_blocks(self.V.rows, vb.split_blocks(plan.k))
-            comm.charge_flops(2 * matrix_apply_flops(self.U.rows, len(va) // plan.k))
+            va, vb = self._coded_operands(comm, va, vb, ctx)
+            evals_a, flops_a = apply_matrix_to_blocks(
+                self.coded_op, va.split_blocks(self.split)
+            )
+            evals_b, flops_b = apply_matrix_to_blocks(
+                self.coded_op, vb.split_blocks(self.split)
+            )
+            comm.charge_flops(flops_a + flops_b)
             payload = list(zip(evals_a, evals_b))
             new_group, parts = self._coded_exchange_down(comm, payload, ctx)
-        from repro.core.layout import cyclic_merge
+        self._column_product(comm, new_group, parts, ctx)
+        return self._coded_interpolation(comm, ctx)
 
-        ta = cyclic_merge([p[0] for p in parts])
-        tb = cyclic_merge([p[1] for p in parts])
-        sub_result = self._level(comm, new_group, ta, tb, level=1, ctx=ctx)
-        self._send_ascent_parts(comm, new_group, sub_result, ctx)
-        return self._coded_interpolation(comm)
+    # repro-lint: in-phase -- runs inside the caller's phase context
+    def _coded_operands(self, comm, va, vb, ctx: dict) -> tuple[LimbVector, LimbVector]:
+        """The operands the coded step evaluates (the combined algorithm
+        first walks its DFS task path)."""
+        return va, vb
 
-    def _code_main(self, comm):
-        """Code-column processors: join at the coded step's exchange, run
-        the standard recursion on the redundant sub-product, ship it back."""
-        ctx = {"scope": 0, "guard": self._make_guard()}
-        my_col = self._my_column(comm)
-        new_group = self.column_members(my_col)
+    def _coded_column(self, comm, ctx: dict) -> None:
+        """A code rank's coded step: receive the redundant evaluations,
+        run the column's recursion, ship the result back."""
+        new_group = self.column_members(self._my_column(comm))
         my_class = new_group.index(comm.rank)
-        parts = []
         with comm.phase("evaluation"):
-            for jp in range(self._coded_fanout):
-                src = my_class + jp * self.g2  # standard rank (old class)
-                parts.append(
-                    comm.recv(
-                        src,
-                        tag=self._tag(TAG_BFS_DOWN, 0, ctx),
-                        abort_check=ctx.get("scope", 0),
-                    )
+            parts = [
+                comm.recv(
+                    my_class + jp * self.g2,  # standard rank (old class)
+                    tag=self._tag(TAG_BFS_DOWN, 0, ctx),
+                    abort_check=ctx["scope"],
                 )
-        from repro.core.layout import cyclic_merge
+                for jp in range(self.need)
+            ]
+        self._column_product(comm, new_group, parts, ctx)
 
+    def _column_product(self, comm, new_group, parts, ctx: dict) -> None:
+        """Standard recursion on the column's sub-product, then the ascent
+        parts back to the parent classes."""
         ta = cyclic_merge([p[0] for p in parts])
         tb = cyclic_merge([p[1] for p in parts])
-        sub_result = self._level(comm, new_group, ta, tb, level=1, ctx=ctx)
+        level = self.plan.l_dfs + self.levels
+        sub_result = self._level(comm, new_group, ta, tb, level=level, ctx=ctx)
         self._send_ascent_parts(comm, new_group, sub_result, ctx)
-        return None
 
     # -- coded-step exchanges ----------------------------------------------------
     # repro-lint: in-phase -- runs inside the caller's phase context
     def _coded_exchange_down(self, comm, payload: list, ctx: dict):
-        """Like the base descent exchange, but targets span all q+f columns
-        (payload has q+f evaluation slices)."""
+        """Like the base descent exchange, but targets span all
+        ``need + f`` columns (payload has one evaluation slice each)."""
         g2 = self.g2
         my_class = comm.rank  # top-level group is [0..P-1] in class order
         kept: dict[int, Any] = {}
@@ -249,7 +274,7 @@ class PolynomialCodedToomCook(ParallelToomCook):
         new_group = self.column_members(my_col)
         my_new_class = new_group.index(comm.rank)
         parts = []
-        for jp in range(self._coded_fanout):
+        for jp in range(self.need):
             src = my_new_class + jp * g2
             if src == comm.rank:
                 parts.append(kept[my_col])
@@ -258,7 +283,7 @@ class PolynomialCodedToomCook(ParallelToomCook):
                     comm.recv(
                         src,
                         tag=self._tag(TAG_BFS_DOWN, 0, ctx),
-                        abort_check=ctx.get("scope", 0),
+                        abort_check=ctx["scope"],
                     )
                 )
         return new_group, parts
@@ -266,14 +291,12 @@ class PolynomialCodedToomCook(ParallelToomCook):
     def _send_ascent_parts(self, comm, new_group, sub_result: LimbVector, ctx):
         """Deinterleave my column's result and send the parts back to the
         parent (standard) classes."""
-        from repro.core.layout import cyclic_deinterleave
-
         with comm.phase("interpolation"):
-            task = ctx.get("scope", 0)
+            task = ctx["scope"]
             my_new_class = new_group.index(comm.rank)
-            parts = cyclic_deinterleave(sub_result, self._coded_fanout)
+            parts = cyclic_deinterleave(sub_result, self.need)
             sent: dict[int, LimbVector] = {}
-            for jp in range(self._coded_fanout):
+            for jp in range(self.need):
                 target = my_new_class + jp * self.g2  # parent standard rank
                 if target == comm.rank:
                     comm.heap[f"_kept_ascent.{task}"] = parts[jp]
@@ -287,45 +310,43 @@ class PolynomialCodedToomCook(ParallelToomCook):
     def _coded_interpolation(
         self, comm, ctx: dict | None = None, tag_base: int = TAG_BFS_UP
     ) -> LimbVector:
-        """Collect result slices from any 2k-1 surviving columns and
-        interpolate with the on-the-fly matrix (Section 4.2 correctness)."""
-        plan = self.plan
+        """Collect result slices from the surviving columns and decode
+        them (Section 4.2 correctness: any ``need`` columns determine the
+        product polynomial)."""
         ctx = ctx or {"scope": 0}
-        task = ctx.get("scope", 0)
-        my_class = comm.rank
         with comm.phase("interpolation"):
-            if self.eager:
-                collected = self._collect_eager(comm, ctx, tag_base, task, my_class)
-            else:
-                collected = self._collect_in_order(
-                    comm, ctx, tag_base, task, my_class
-                )
-            if len(collected) < plan.q:
-                raise FaultToleranceExceeded(
-                    f"only {len(collected)} columns survived; "
-                    f"{plan.q} needed (f={self.f} exceeded)"
-                )
-            chosen = sorted(collected)[: plan.q]
-            points = [self.points[j] for j in chosen]
-            w_t = interpolation_matrix_for_points(points, plan.q)
-            blocks = [collected[j] for j in chosen]
-            out = self._interpolate_with(comm, w_t, blocks, len(blocks[0]) // 2)
-        return out
+            collect = self._collect_eager if self.eager else self._collect_in_order
+            collected = collect(comm, ctx, tag_base)
+            if len(collected) < self.need:
+                raise self._shortfall(len(collected))
+            chosen = sorted(collected)
+            return self._interpolate_columns(
+                comm, chosen, [collected[j] for j in chosen]
+            )
+
+    def _shortfall(self, survivors: int) -> MachineError:
+        """The loud error when fewer than ``need`` columns survive."""
+        return FaultToleranceExceeded(
+            f"only {survivors} columns survived; "
+            f"{self.need} needed (f={self.f} exceeded)"
+        )
 
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _collect_in_order(self, comm, ctx, tag_base, task, my_class):
+    def _collect_in_order(self, comm, ctx, tag_base):
         """Blocking collection, columns visited in index order (the
-        fault-free fast path: the first 2k-1 columns are the standard
+        fault-free fast path: the first ``need`` columns are the standard
         evaluation points, so interpolation uses the precomputed W^T
         structure whenever possible)."""
+        task = ctx["scope"]
+        limit = self.n_columns() if self.collect_all else self.need
         collected: dict[int, LimbVector] = {}
         for j in range(self.n_columns()):
-            if len(collected) == self.plan.q:
+            if len(collected) == limit:
                 break
             members = self.column_members(j)
             if comm.withdrawn_ranks(members, task=task):
                 continue
-            src = members[my_class % self.g2]
+            src = members[comm.rank % self.g2]
             if src == comm.rank:
                 block = comm.heap.get(f"_kept_ascent.{task}")
                 if block is not None:
@@ -340,27 +361,25 @@ class PolynomialCodedToomCook(ParallelToomCook):
         return collected
 
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _collect_eager(self, comm, ctx, tag_base, task, my_class):
+    def _collect_eager(self, comm, ctx, tag_base):
         """Straggler-mitigating collection: physically drain every live
         column's result, then *absorb* (wait for, in virtual time) only
-        the ``2k-1`` with the earliest attached clocks.  A delayed column
+        the ``need`` with the earliest attached clocks.  A delayed column
         (the paper's third fault category) is simply never waited on —
         the classic latency benefit of coded computation."""
-        from repro.machine.errors import DeadlockError
-
+        task = ctx["scope"]
         raw: dict[int, object] = {}
         kept_block = comm.heap.get(f"_kept_ascent.{task}")
         my_col = self._my_column(comm)
         pending = set(range(self.n_columns()))
-        if my_col in pending:
-            pending.discard(my_col)
+        pending.discard(my_col)
         while pending:
             j = min(pending)
             members = self.column_members(j)
             if comm.withdrawn_ranks(members, task=task):
                 pending.discard(j)
                 continue
-            src = members[my_class % self.g2]
+            src = members[comm.rank % self.g2]
             if src == comm.rank:
                 pending.discard(j)
                 continue
@@ -372,7 +391,7 @@ class PolynomialCodedToomCook(ParallelToomCook):
             except (PeerDead, DeadlockError):
                 pending.discard(j)
         # Rank the physical arrivals by virtual readiness and absorb the
-        # earliest 2k-1 (the kept local block is free).
+        # earliest ``need`` (the kept local block is free).
         collected: dict[int, LimbVector] = {}
         if kept_block is not None:
             collected[my_col] = kept_block
@@ -380,22 +399,33 @@ class PolynomialCodedToomCook(ParallelToomCook):
             raw, key=lambda j: (raw[j].clock.f + raw[j].clock.bw + raw[j].clock.l)
         )
         for j in order:
-            if len(collected) == self.plan.q:
+            if len(collected) == self.need:
                 break
             collected[j] = comm.absorb(raw[j])
         return collected
 
+    # -- decoding ------------------------------------------------------------------
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _interpolate_with(self, comm, w_t, result_blocks, child_offset):
-        coeffs = apply_matrix_to_blocks(w_t.rows, result_blocks)
-        comm.charge_flops(matrix_apply_flops(w_t.rows, len(result_blocks[0])))
-        out = [0] * (2 * self.plan.k * child_offset)
-        for m, block in enumerate(coeffs):
-            off = m * child_offset
-            for t, v in enumerate(block):
-                out[off + t] += v
-        comm.charge_flops(len(coeffs) * len(coeffs[0]))
-        return LimbVector(out, result_blocks[0].base_bits)
+    def _interpolate_columns(
+        self, comm, chosen: list[int], blocks: list[LimbVector]
+    ) -> LimbVector:
+        """Erasure decoding: interpolate the ``need`` chosen columns with
+        the on-the-fly ``W^T`` of their points, then overlap-add."""
+        return self._interpolate(comm, self._decoder(chosen), blocks)
+
+    def _decoder(self, chosen) -> BlockOperator:
+        """The compiled inverse evaluation matrix of the chosen columns'
+        points (cached: fault-free runs always choose the same ones)."""
+        key = tuple(chosen)
+        op = self._decoders.get(key)
+        if op is None:
+            op = BlockOperator.compile(self._interpolation_matrix(key).rows)
+            self._decoders[key] = op
+        return op
+
+    def _interpolation_matrix(self, chosen: tuple[int, ...]) -> FractionMatrix:
+        points = [self.points[j] for j in chosen]
+        return interpolation_matrix_for_points(points, self.plan.q)
 
     # -- assembly ------------------------------------------------------------------
     def multiply(self, a: int, b: int, raise_on_error: bool = True) -> MultiplyOutcome:
@@ -435,8 +465,6 @@ class PolynomialCodedToomCook(ParallelToomCook):
         return outcome
 
     def _is_tolerated(self, rank: int, exc: BaseException) -> bool:
-        from repro.machine.errors import HardFault
-
         return isinstance(exc, HardFault)
 
     def _assemble(self, results: list[Any]) -> int:
@@ -446,6 +474,4 @@ class PolynomialCodedToomCook(ParallelToomCook):
             raise FaultToleranceExceeded(
                 f"standard ranks {missing} produced no result slice"
             )
-        from repro.core.layout import CyclicLayout
-
         return CyclicLayout(self.plan.p).collect(slices).to_int()

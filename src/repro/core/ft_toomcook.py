@@ -30,9 +30,9 @@ collapsing the polynomial columns — see :mod:`repro.core.multistep`.)
 from __future__ import annotations
 
 import math
-from typing import Any
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops
+from repro.bigint.blockops import apply_matrix_to_blocks
+from repro.bigint.evalpoints import extended_toom_points
 from repro.bigint.limbs import LimbVector
 from repro.core.ft_linear import ColumnCode, LinearCodedState
 from repro.core.ft_polynomial import (
@@ -40,7 +40,7 @@ from repro.core.ft_polynomial import (
     FaultToleranceExceeded,
     PolynomialCodedToomCook,
 )
-from repro.core.parallel_toomcook import TAG_BFS_DOWN
+from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError, PeerDead
 from repro.machine.fault import FaultSchedule
@@ -68,9 +68,6 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
         if plan.l_bfs < 1:
             raise ValueError("need at least one BFS step to apply the codes")
         # Bypass the poly-only l_dfs==0 restriction: replicate its setup.
-        from repro.bigint.evalpoints import extended_toom_points
-        from repro.core.parallel_toomcook import ParallelToomCook
-
         ParallelToomCook.__init__(
             self,
             plan,
@@ -80,9 +77,7 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
             timeout=timeout,
             trace=trace,
         )
-        self.f = f
-        self.g2 = plan.p // plan.q
-        self._coded_fanout = plan.q
+        self._configure_code(f, self.U, levels=1)
         # Rank geometry: [standard | linear-code rows | poly-code columns].
         self._linear_code_base = plan.p
         self._poly_code_base = plan.p + f * plan.q
@@ -99,11 +94,6 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
         """``P + f*(2k-1) + f*P/(2k-1)`` processors (Figures 1 + 2)."""
         return self.plan.p + self.f * self.plan.q + self.f * self.g2
 
-    def _rank_args(self, slices_a, slices_b) -> list[tuple]:
-        args: list[tuple] = [(slices_a[r], slices_b[r]) for r in range(self.plan.p)]
-        args.extend([(None, None)] * (self.machine_size() - self.plan.p))
-        return args
-
     def n_tasks(self) -> int:
         return self.plan.q**self.plan.l_dfs
 
@@ -112,14 +102,8 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
         return rank // self.g2
 
     def _task_path(self, t: int) -> list[int]:
-        """Child indices (level 0 first) of DFS task ``t``."""
-        path = []
-        for j in range(self.plan.l_dfs):
-            path.append((t // self.plan.q ** (self.plan.l_dfs - 1 - j)) % self.plan.q)
-        return path
-
-    def _stack_schema(self, t: int) -> list[int]:
-        """Entries per DFS stack level after ``t`` completed tasks."""
+        """Child indices (level 0 first) of DFS task ``t`` — equally, the
+        entries per DFS stack level after ``t`` completed tasks."""
         return [
             (t // self.plan.q ** (self.plan.l_dfs - 1 - j)) % self.plan.q
             for j in range(self.plan.l_dfs)
@@ -223,41 +207,25 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
     def _run_task(
         self, comm, va: LimbVector, vb: LimbVector, t: int, scope: int
     ) -> LimbVector:
-        plan = self.plan
-        ctx = {"scope": scope, "guard": self._make_guard(task=scope)}
-        with comm.phase("evaluation"):
-            ta, tb = self._task_operands(comm, va, vb, t)
-            evals_a = apply_matrix_to_blocks(self.U.rows, ta.split_blocks(plan.k))
-            evals_b = apply_matrix_to_blocks(self.V.rows, tb.split_blocks(plan.k))
-            comm.charge_flops(2 * matrix_apply_flops(self.U.rows, len(ta) // plan.k))
-            payload = list(zip(evals_a, evals_b))
-            new_group, parts = self._coded_exchange_down(comm, payload, ctx)
-        from repro.core.layout import cyclic_merge
-
-        sub_a = cyclic_merge([p[0] for p in parts])
-        sub_b = cyclic_merge([p[1] for p in parts])
-        sub_result = self._level(
-            comm, new_group, sub_a, sub_b, level=plan.l_dfs + 1, ctx=ctx
-        )
-        self._send_ascent_parts(comm, new_group, sub_result, ctx)
-        return self._coded_interpolation(comm, ctx=ctx)
+        ctx = {"scope": scope, "task": t, "guard": self._make_guard(task=scope)}
+        return self._coded_step(comm, va, vb, ctx)
 
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _task_operands(self, comm, va, vb, t: int) -> tuple[LimbVector, LimbVector]:
-        """Evaluate the DFS path for task ``t`` (local; prefix-cached so
-        shared path prefixes are not recomputed — the classic DFS walk)."""
+    def _coded_operands(self, comm, va, vb, ctx: dict) -> tuple[LimbVector, LimbVector]:
+        """Evaluate the DFS path of task ``ctx["task"]`` (local;
+        prefix-cached so shared path prefixes are not recomputed — the
+        classic DFS walk)."""
         cache = comm.heap.setdefault("_dfs_prefix", {})
-        path = self._task_path(t)
         ta, tb = va, vb
         prefix: tuple[int, ...] = ()
-        for digit in path:
+        for digit in self._task_path(ctx["task"]):
             prefix = prefix + (digit,)
             hit = cache.get(prefix)
             if hit is None:
-                row_u = [self.U.rows[digit]]
-                ta2 = apply_matrix_to_blocks(row_u, ta.split_blocks(self.plan.k))[0]
-                tb2 = apply_matrix_to_blocks(row_u, tb.split_blocks(self.plan.k))[0]
-                comm.charge_flops(2 * matrix_apply_flops(row_u, len(ta2)))
+                row_u = self.U.row(digit)
+                (ta2,), flops_a = apply_matrix_to_blocks(row_u, ta.split_blocks(self.plan.k))
+                (tb2,), flops_b = apply_matrix_to_blocks(row_u, tb.split_blocks(self.plan.k))
+                comm.charge_flops(flops_a + flops_b)
                 # Drop stale siblings: only the current path stays cached.
                 for key in [k for k in cache if len(k) >= len(prefix)]:
                     del cache[key]
@@ -277,10 +245,7 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
             stack[-1].append(result)
             level = len(stack) - 1
             while level >= 0 and len(stack[level]) == self.plan.q:
-                blocks = stack[level]
-                combined = self._interpolate_and_overlap(
-                    comm, blocks, len(blocks[0]) // 2
-                )
+                combined = self._interpolate(comm, self.W_T, stack[level])
                 stack[level] = []
                 if level == 0:
                     return combined
@@ -319,7 +284,7 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
                 va, vb = vectors[0], vectors[1]
                 stack = []
                 idx = 2
-                for count in self._stack_schema(t):
+                for count in self._task_path(t):
                     stack.append(vectors[idx : idx + count])
                     idx += count
         return va, vb, stack
@@ -330,7 +295,7 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
         plan = self.plan
         local = plan.local_words
         schema = [local, local]  # va, vb
-        for j, count in enumerate(self._stack_schema(t)):
+        for j, count in enumerate(self._task_path(t)):
             child_local = 2 * plan.n_words // plan.k ** (j + 1) // plan.p
             schema.extend([child_local] * count)
         return tuple(schema)
@@ -434,9 +399,6 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
         """Redundant-column processors: join each task attempt's coded
         step, run the standard recursion on the redundant sub-product,
         ship the result back.  Stateless between tasks."""
-        my_col = self._my_column(comm)
-        new_group = self.column_members(my_col)
-        my_class = new_group.index(comm.rank)
         all_ranks = list(range(self.machine_size()))
         t = 0
         while t < self.n_tasks():
@@ -446,30 +408,7 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
                 ctx = {"scope": scope, "guard": self._make_guard(task=scope)}
                 crashed = False
                 try:
-                    parts = []
-                    with comm.phase("evaluation"):
-                        for jp in range(self.plan.q):
-                            src = my_class + jp * self.g2
-                            parts.append(
-                                comm.recv(
-                                    src,
-                                    tag=self._tag(TAG_BFS_DOWN, 0, ctx),
-                                    abort_check=scope,
-                                )
-                            )
-                    from repro.core.layout import cyclic_merge
-
-                    sub_a = cyclic_merge([p[0] for p in parts])
-                    sub_b = cyclic_merge([p[1] for p in parts])
-                    sub_result = self._level(
-                        comm,
-                        new_group,
-                        sub_a,
-                        sub_b,
-                        level=self.plan.l_dfs + 1,
-                        ctx=ctx,
-                    )
-                    self._send_ascent_parts(comm, new_group, sub_result, ctx)
+                    self._coded_column(comm, ctx)
                 except HardFault:
                     crashed = True  # replacement comes up after agreement
                 except (ColumnKilled, PeerDead):
@@ -492,15 +431,3 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
                     )
             t += 1
         return None
-
-    # -- assembly ----------------------------------------------------------------------------
-    def _assemble(self, results: list[Any]) -> int:
-        slices = results[: self.plan.p]
-        if any(s is None for s in slices):
-            missing = [r for r, s in enumerate(slices) if s is None]
-            raise FaultToleranceExceeded(
-                f"standard ranks {missing} produced no final result"
-            )
-        from repro.core.layout import CyclicLayout
-
-        return CyclicLayout(self.plan.p).collect(slices).to_int()

@@ -23,17 +23,13 @@ from __future__ import annotations
 
 import math
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
 from repro.bigint.limbs import LimbVector
 from repro.bigint.multivariate import evaluation_matrix_multivariate, monomials
 from repro.coding.point_search import multistep_evaluation_points
-from repro.core.ft_polynomial import (
-    FaultToleranceExceeded,
-    PolynomialCodedToomCook,
-)
-from repro.core.parallel_toomcook import TAG_BFS_DOWN, TAG_BFS_UP
+from repro.core.ft_polynomial import PolynomialCodedToomCook
+from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
-from repro.machine.errors import PeerDead
 from repro.machine.fault import FaultSchedule
 from repro.util.rational import FractionMatrix
 
@@ -51,6 +47,11 @@ def _digit_reverse(index: int, base: int, length: int) -> int:
 
 class MultiStepToomCook(PolynomialCodedToomCook):
     """Fault-tolerant parallel Toom-Cook with ``l`` combined BFS steps.
+
+    The polynomial code's coded step (:class:`PolynomialCodedToomCook`)
+    with a multivariate operator over ``k**l`` blocks, ``(2k-1)**l``
+    standard columns of ``P/(2k-1)**l`` processors (Figure 3), and a
+    multivariate decoder.
 
     Parameters
     ----------
@@ -82,8 +83,6 @@ class MultiStepToomCook(PolynomialCodedToomCook):
             raise ValueError("MultiStepToomCook requires an unlimited-memory plan")
         # Skip the univariate-points setup of the poly class: initialize
         # the grandparent directly, then install the multivariate code.
-        from repro.core.parallel_toomcook import ParallelToomCook
-
         ParallelToomCook.__init__(
             self,
             plan,
@@ -92,13 +91,7 @@ class MultiStepToomCook(PolynomialCodedToomCook):
             fault_schedule=fault_schedule,
             timeout=timeout,
         )
-        self.f = f
         self.l = l
-        self.q_l = plan.q**l
-        self.k_l = plan.k**l
-        self.g2 = plan.p // self.q_l
-        self._poly_code_base = plan.p
-        self._coded_fanout = self.q_l
         self.multi_points = multistep_evaluation_points(
             plan.k, l, f, limit=point_search_limit
         )
@@ -106,148 +99,39 @@ class MultiStepToomCook(PolynomialCodedToomCook):
         # permuted to match block order (block b <-> monomial with the
         # digit-reversed index).
         eval_m = evaluation_matrix_multivariate(self.multi_points, plan.k, l)
-        perm = [_digit_reverse(j, plan.k, l) for j in range(self.k_l)]
-        self.U_multi = FractionMatrix(
-            [[row[perm.index(b)] for b in range(self.k_l)] for row in eval_m.rows]
+        perm = [_digit_reverse(j, plan.k, l) for j in range(plan.k**l)]
+        self._configure_code(
+            f,
+            BlockOperator.compile(
+                [[row[perm.index(b)] for b in range(plan.k**l)] for row in eval_m.rows]
+            ),
+            levels=l,
         )
-
-    # -- geometry ---------------------------------------------------------------
-    def machine_size(self) -> int:
-        """``P + f * P/(2k-1)**l`` processors (Figure 3)."""
-        return self.plan.p + self.f * self.g2
-
-    def n_columns(self) -> int:
-        return self.q_l + self.f
-
-    def column_members(self, j: int) -> list[int]:
-        if not (0 <= j < self.n_columns()):
-            raise ValueError(f"column {j} out of range")
-        if j < self.q_l:
-            return list(range(j * self.g2, (j + 1) * self.g2))
-        return [
-            self._poly_code_base + (j - self.q_l) * self.g2 + c
-            for c in range(self.g2)
+        # The coefficient block of each Poly_{2k-1,l} monomial lands at
+        # its univariate offset sum_i e_i * n/k**(i+1), in local words
+        # (cyclic layout: P divides each weight).
+        self._offsets = [
+            sum(e * (plan.n_words // plan.k ** (i + 1)) for i, e in enumerate(exps))
+            // plan.p
+            for exps in monomials(plan.q, l)
         ]
 
-    def _my_column(self, comm) -> int:
-        if comm.rank < self.plan.p:
-            return comm.rank // self.g2
-        return self.q_l + (comm.rank - self._poly_code_base) // self.g2
-
-    # -- rank program ------------------------------------------------------------
-    def _standard_main(self, comm, va: LimbVector, vb: LimbVector):
-        comm.memory.allocate(
-            "operands", va.words(comm.word_bits) + vb.words(comm.word_bits)
-        )
-        ctx = {"scope": 0, "guard": self._make_guard()}
-        with comm.phase("evaluation"):
-            blocks_a = va.split_blocks(self.k_l)
-            blocks_b = vb.split_blocks(self.k_l)
-            evals_a = apply_matrix_to_blocks(self.U_multi.rows, blocks_a)
-            evals_b = apply_matrix_to_blocks(self.U_multi.rows, blocks_b)
-            comm.charge_flops(
-                2 * matrix_apply_flops(self.U_multi.rows, len(va) // self.k_l)
-            )
-            payload = list(zip(evals_a, evals_b))
-            new_group, parts = self._coded_exchange_down(comm, payload, ctx)
-        from repro.core.layout import cyclic_merge
-
-        ta = cyclic_merge([p[0] for p in parts])
-        tb = cyclic_merge([p[1] for p in parts])
-        sub_result = self._level(comm, new_group, ta, tb, level=self.l, ctx=ctx)
-        self._send_ascent_parts(comm, new_group, sub_result, ctx)
-        return self._coded_interpolation(comm)
-
-    def _code_main(self, comm):
-        ctx = {"scope": 0, "guard": self._make_guard()}
-        my_col = self._my_column(comm)
-        new_group = self.column_members(my_col)
-        my_class = new_group.index(comm.rank)
-        parts = []
-        with comm.phase("evaluation"):
-            for jp in range(self._coded_fanout):
-                src = my_class + jp * self.g2
-                parts.append(
-                    comm.recv(
-                        src,
-                        tag=self._tag(TAG_BFS_DOWN, 0, ctx),
-                        abort_check=ctx.get("scope", 0),
-                    )
-                )
-        from repro.core.layout import cyclic_merge
-
-        ta = cyclic_merge([p[0] for p in parts])
-        tb = cyclic_merge([p[1] for p in parts])
-        sub_result = self._level(comm, new_group, ta, tb, level=self.l, ctx=ctx)
-        self._send_ascent_parts(comm, new_group, sub_result, ctx)
-        return None
-
-    # -- multivariate interpolation ---------------------------------------------------
-    def _coded_interpolation(
-        self, comm, ctx: dict | None = None, tag_base: int = TAG_BFS_UP
-    ) -> LimbVector:
-        """Collect any ``(2k-1)**l`` surviving columns, invert their
-        multivariate evaluation matrix, and overlap-add the coefficient
-        blocks at their mixed-radix offsets."""
-        plan = self.plan
-        ctx = ctx or {"scope": 0}
-        task = ctx.get("scope", 0)
-        my_class = comm.rank
-        need = (2 * plan.k - 1) ** self.l
-        with comm.phase("interpolation"):
-            collected: dict[int, LimbVector] = {}
-            for j in range(self.n_columns()):
-                if len(collected) == need:
-                    break
-                members = self.column_members(j)
-                if comm.withdrawn_ranks(members, task=task):
-                    continue
-                src = members[my_class % self.g2]
-                if src == comm.rank:
-                    block = comm.heap.get(f"_kept_ascent.{task}")
-                    if block is None:
-                        continue
-                    collected[j] = block
-                    continue
-                try:
-                    block = comm.recv(
-                        src, tag=self._tag(tag_base, 0, ctx), abort_check=task
-                    )
-                except PeerDead:
-                    continue
-                collected[j] = block
-            if len(collected) < need:
-                raise FaultToleranceExceeded(
-                    f"only {len(collected)} columns survived; {need} needed "
-                    f"(f={self.f} exceeded)"
-                )
-            chosen = sorted(collected)[:need]
-            points = [self.multi_points[j] for j in chosen]
-            e = evaluation_matrix_multivariate(points, 2 * plan.k - 1, self.l)
-            w = e.inv()
-            blocks = [collected[j] for j in chosen]
-            coeffs = apply_matrix_to_blocks(w.rows, blocks)
-            comm.charge_flops(matrix_apply_flops(w.rows, len(blocks[0])))
-            out = self._multivariate_overlap_add(comm, coeffs)
-        return out
+    # -- multivariate decoding ---------------------------------------------------
+    def _interpolation_matrix(self, chosen: tuple[int, ...]) -> FractionMatrix:
+        points = [self.multi_points[j] for j in chosen]
+        return evaluation_matrix_multivariate(points, self.plan.q, self.l).inv()
 
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _multivariate_overlap_add(self, comm, coeffs: list[LimbVector]) -> LimbVector:
-        """Place the coefficient block of each ``Poly_{2k-1,l}`` monomial
-        at its univariate offset ``sum_i e_i * n/k**(i+1)`` (local words)."""
-        plan = self.plan
-        r = 2 * plan.k - 1
-        local_total = 2 * plan.n_words // plan.p
-        out = [0] * local_total
-        base_bits = coeffs[0].base_bits
-        mons = monomials(r, self.l)
-        for m, block in enumerate(coeffs):
-            exps = mons[m]
-            offset_global = sum(
-                e * (plan.n_words // plan.k ** (i + 1)) for i, e in enumerate(exps)
-            )
-            offset = offset_global // plan.p  # cyclic layout: P | each weight
-            for t, v in enumerate(block):
-                out[offset + t] += v
-        comm.charge_flops(len(coeffs) * len(coeffs[0]))
-        return LimbVector(out, base_bits)
+    def _interpolate_columns(
+        self, comm, chosen: list[int], blocks: list[LimbVector]
+    ) -> LimbVector:
+        """Invert the multivariate evaluation matrix of the chosen
+        ``(2k-1)**l`` columns, and overlap-add the coefficient blocks at
+        their mixed-radix offsets."""
+        coeffs, flops = apply_matrix_to_blocks(self._decoder(chosen), blocks)
+        comm.charge_flops(flops)
+        out, flops = overlap_add(
+            coeffs, self._offsets, 2 * self.plan.n_words // self.plan.p
+        )
+        comm.charge_flops(flops)
+        return out

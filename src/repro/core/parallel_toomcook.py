@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
 from repro.bigint.evalpoints import EvalPoint, toom_points
 from repro.bigint.lazy import LazyToomCook
 from repro.bigint.limbs import LimbVector
@@ -99,7 +99,9 @@ class ParallelToomCook:
         if trace is not None:
             self.trace = trace
         self.points = list(points) if points else toom_points(plan.k)
-        self.U, self.V, self.W_T = toom_operators(plan.k, self.points)
+        u, _, w_t = toom_operators(plan.k, self.points)
+        self.U = self.V = BlockOperator.compile(u.rows)
+        self.W_T = BlockOperator.compile(w_t.rows)
         self.grid = ProcessorGrid(plan.p, plan.q)
         self.memory_words = memory_words
         self.fault_schedule = fault_schedule
@@ -171,7 +173,7 @@ class ParallelToomCook:
         ctx: dict,
     ) -> LimbVector:
         """One traversal level.  ``ctx`` carries fault-tolerance context:
-        ``task`` (DFS task index, scoping message tags and abort checks)
+        ``scope`` (task/attempt id, scoping message tags and abort checks)
         and ``guard`` (a callable raising when this rank's polynomial-code
         column has been killed — Section 4.2 column halt)."""
         plan = self.plan
@@ -211,19 +213,18 @@ class ParallelToomCook:
         k, q = self.plan.k, self.plan.q
         blocks_a = va.split_blocks(k)
         blocks_b = vb.split_blocks(k)
-        child_len = len(va) // k
         results: list[LimbVector] = []
         for i in range(q):
             self._guard(comm, ctx)
             with comm.phase("evaluation"):
-                ta = apply_matrix_to_blocks([self.U.rows[i]], blocks_a)[0]
-                tb = apply_matrix_to_blocks([self.V.rows[i]], blocks_b)[0]
-                comm.charge_flops(2 * matrix_apply_flops([self.U.rows[i]], child_len))
+                (ta,), flops_a = apply_matrix_to_blocks(self.U.row(i), blocks_a)
+                (tb,), flops_b = apply_matrix_to_blocks(self.V.row(i), blocks_b)
+                comm.charge_flops(flops_a + flops_b)
                 comm.memory.allocate(f"dfs{level}.child", 2 * ta.words(comm.word_bits))
             results.append(self._level(comm, group, ta, tb, level + 1, ctx))
         comm.memory.free(f"dfs{level}.child")
         with comm.phase("interpolation"):
-            out = self._interpolate_and_overlap(comm, results, child_len)
+            out = self._interpolate(comm, self.W_T, results)
         comm.memory.allocate(f"dfs{level}.result", out.words(comm.word_bits))
         comm.memory.free(f"dfs{level}.result")
         return out
@@ -242,9 +243,9 @@ class ParallelToomCook:
         step = level - plan.l_dfs  # BFS step index (grid digit)
         self._guard(comm, ctx)
         with comm.phase("evaluation"):
-            evals_a = apply_matrix_to_blocks(self.U.rows, va.split_blocks(plan.k))
-            evals_b = apply_matrix_to_blocks(self.V.rows, vb.split_blocks(plan.k))
-            comm.charge_flops(2 * matrix_apply_flops(self.U.rows, len(va) // plan.k))
+            evals_a, flops_a = apply_matrix_to_blocks(self.U, va.split_blocks(plan.k))
+            evals_b, flops_b = apply_matrix_to_blocks(self.V, vb.split_blocks(plan.k))
+            comm.charge_flops(flops_a + flops_b)
             payload = list(zip(evals_a, evals_b))
             comm.memory.allocate(
                 f"bfs{step}.evals",
@@ -264,7 +265,7 @@ class ParallelToomCook:
             result_blocks = self._exchange_up(
                 comm, group, new_group, sub_result, step, ctx
             )
-            out = self._interpolate_and_overlap(comm, result_blocks, len(va) // plan.k)
+            out = self._interpolate(comm, self.W_T, result_blocks)
         return out
 
     # -- exchanges ----------------------------------------------------------------
@@ -361,22 +362,26 @@ class ParallelToomCook:
 
     # -- local math ------------------------------------------------------------------
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _interpolate_and_overlap(
-        self, comm, result_blocks: list[LimbVector], child_offset: int
+    def _interpolate(
+        self, comm, w_t: BlockOperator, result_blocks: list[LimbVector]
     ) -> LimbVector:
-        """Apply ``W^T`` blockwise, then overlap-add child blocks at local
-        offsets ``j * child_offset`` (``child_offset`` = local words of an
-        unpadded child block)."""
-        k = self.plan.k
-        coeffs = apply_matrix_to_blocks(self.W_T.rows, result_blocks)
-        comm.charge_flops(matrix_apply_flops(self.W_T.rows, len(result_blocks[0])))
-        out = [0] * (2 * k * child_offset)
-        for m, block in enumerate(coeffs):
-            off = m * child_offset
-            for t, v in enumerate(block):
-                out[off + t] += v
-        comm.charge_flops(len(coeffs) * len(coeffs[0]))
-        return LimbVector(out, result_blocks[0].base_bits)
+        """Apply the interpolation operator ``w_t`` blockwise, then
+        overlap-add the coefficient blocks."""
+        coeffs, flops = apply_matrix_to_blocks(w_t, result_blocks)
+        comm.charge_flops(flops)
+        return self._overlap_add(comm, coeffs)
+
+    # repro-lint: in-phase -- runs inside the caller's phase context
+    def _overlap_add(self, comm, coeffs: list[LimbVector]) -> LimbVector:
+        """Overlap-add coefficient block ``m`` at local offset
+        ``m * half``: each block is a child product padded to twice the
+        ``half`` local words of an unpadded child block."""
+        half = len(coeffs[0]) // 2
+        out, flops = overlap_add(
+            coeffs, range(0, len(coeffs) * half, half), 2 * self.plan.k * half
+        )
+        comm.charge_flops(flops)
+        return out
 
     def _leaf_multiply(
         self, comm, va: LimbVector, vb: LimbVector, ctx: dict

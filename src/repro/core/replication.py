@@ -70,7 +70,8 @@ class ReplicatedToomCook(ParallelToomCook):
         group = list(range(base, base + self.plan.p))
         sub = comm.sub(group)
         try:
-            # Run the standard traversal inside this copy's communicator;
+            # Run the standard traversal inside this copy's communicator
+            # (group lists are local ranks of the sub-communicator);
             # distinct ctx scopes keep the copies' messages apart (they use
             # disjoint ranks anyway — the scope is belt and braces).
             result = self._level(sub, list(range(self.plan.p)), va, vb, 0, {"scope": copy})
@@ -82,10 +83,6 @@ class ReplicatedToomCook(ParallelToomCook):
         except MachineError:
             # A peer in this copy died; the copy cannot finish.
             return None
-
-    def _level(self, comm, group, va, vb, level, ctx):
-        # Group lists are local ranks within the copy's sub-communicator.
-        return super()._level(comm, group, va, vb, level, ctx)
 
     def _assemble(self, results: list[Any]) -> int:
         """Take the first copy whose every rank produced a slice."""

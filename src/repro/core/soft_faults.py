@@ -27,13 +27,12 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks
 from repro.bigint.limbs import LimbVector
-from repro.bigint.matrices import evaluation_matrix, interpolation_matrix_for_points
+from repro.bigint.matrices import evaluation_matrix
 from repro.core.ft_polynomial import PolynomialCodedToomCook
-from repro.core.parallel_toomcook import TAG_BFS_UP
 from repro.core.plan import ExecutionPlan
-from repro.machine.errors import MachineError, PeerDead
+from repro.machine.errors import MachineError
 from repro.machine.fault import FaultSchedule
 
 __all__ = ["SoftTolerantToomCook", "SoftFaultDetected"]
@@ -49,6 +48,9 @@ class SoftTolerantToomCook(PolynomialCodedToomCook):
     ``f`` redundant evaluation points give detection of up to ``f`` and
     correction of up to ``floor(f/2)`` corrupted column results.
     """
+
+    #: The subset search needs every live column, not just ``2k-1``.
+    collect_all = True
 
     def __init__(
         self,
@@ -82,108 +84,68 @@ class SoftTolerantToomCook(PolynomialCodedToomCook):
         return out
 
     # -- verified interpolation ---------------------------------------------------------
-    def _coded_interpolation(
-        self, comm, ctx: dict | None = None, tag_base: int = TAG_BFS_UP
-    ) -> LimbVector:
-        """Collect *all* live columns and interpolate from a subset whose
-        product is consistent with enough of the rest (RS decoding by
-        subset search — exponential in f, fine for the small f of the
-        paper's setting)."""
-        plan = self.plan
-        ctx = ctx or {"scope": 0}
-        task = ctx.get("scope", 0)
-        my_class = comm.rank
-        q = plan.q
-        with comm.phase("interpolation"):
-            collected: dict[int, LimbVector] = {}
-            for j in range(self.n_columns()):
-                members = self.column_members(j)
-                if comm.withdrawn_ranks(members, task=task):
-                    continue
-                src = members[my_class % self.g2]
-                if src == comm.rank:
-                    block = comm.heap.get(f"_kept_ascent.{task}")
-                    if block is not None:
-                        collected[j] = block
-                    continue
-                try:
-                    collected[j] = comm.recv(
-                        src, tag=self._tag(tag_base, 0, ctx), abort_check=task
-                    )
-                except PeerDead:
-                    continue
-            if len(collected) < q:
-                raise MachineError(
-                    f"only {len(collected)} columns alive; {q} needed"
-                )
-            live = sorted(collected)
-            # Erasure-aware capability: hard faults consumed part of the
-            # redundancy, so only ``live - q`` spare evaluations remain to
-            # spend on silent corruptions.  The acceptance threshold must
-            # stay above ``q - 1 + correctable`` — a wrong subset agrees
-            # with its own q members automatically (interpolation passes
-            # through them), plus at most ``correctable`` corrupted
-            # columns — or erased runs would accept corrupted subsets.
-            spare = len(live) - q
-            correctable = spare // 2
-            threshold = len(live) - correctable
-            best = None
-            for subset in combinations(live, q):
-                try:
-                    coeffs = self._interp_subset(comm, collected, list(subset))
-                except ValueError:
-                    # Non-integral interpolation: the subset contains a
-                    # corrupted result (honest Toom-Cook data always
-                    # interpolates integrally) — itself a detection.
-                    continue
-                agree = self._agreement(comm, coeffs, collected, live)
-                if agree >= threshold:
-                    best = (coeffs, agree, subset)
-                    break
-            if best is None:
-                raise SoftFaultDetected(
-                    f"no {q}-subset of column results is consistent with "
-                    f">= {threshold} of {len(live)} live columns: more than "
-                    f"floor(spare/2)={correctable} corruptions are present "
-                    f"(spare={spare} after erasures; detectable but not "
-                    "correctable)"
-                )
-            coeffs, agree, subset = best
-            if agree < len(live):
-                comm.heap["_soft_corrections"] = (
-                    comm.heap.get("_soft_corrections", 0) + (len(live) - agree)
-                )
-            return self._overlap_add(comm, coeffs)
+    def _shortfall(self, survivors: int) -> MachineError:
+        return MachineError(
+            f"only {survivors} columns alive; {self.plan.q} needed"
+        )
 
     # repro-lint: in-phase -- runs inside the caller's phase context
-    def _interp_subset(self, comm, collected, subset):
-        points = [self.points[j] for j in subset]
-        w_t = interpolation_matrix_for_points(points, self.plan.q)
-        blocks = [collected[j] for j in subset]
-        coeffs = apply_matrix_to_blocks(w_t.rows, blocks)
-        comm.charge_flops(matrix_apply_flops(w_t.rows, len(blocks[0])))
-        return coeffs
+    def _interpolate_columns(
+        self, comm, chosen: list[int], blocks: list[LimbVector]
+    ) -> LimbVector:
+        """Interpolate from a subset of the live columns whose product is
+        consistent with enough of the rest (RS decoding by subset search —
+        exponential in f, fine for the small f of the paper's setting)."""
+        q = self.plan.q
+        live, collected = chosen, dict(zip(chosen, blocks))
+        # Erasure-aware capability: hard faults consumed part of the
+        # redundancy, so only ``live - q`` spare evaluations remain to
+        # spend on silent corruptions.  The acceptance threshold must
+        # stay above ``q - 1 + correctable`` — a wrong subset agrees
+        # with its own q members automatically (interpolation passes
+        # through them), plus at most ``correctable`` corrupted
+        # columns — or erased runs would accept corrupted subsets.
+        spare = len(live) - q
+        correctable = spare // 2
+        threshold = len(live) - correctable
+        best = None
+        for subset in combinations(live, q):
+            try:
+                coeffs, flops = apply_matrix_to_blocks(
+                    self._decoder(subset), [collected[j] for j in subset]
+                )
+            except ValueError:
+                # Non-integral interpolation: the subset contains a
+                # corrupted result (honest Toom-Cook data always
+                # interpolates integrally) — itself a detection.
+                continue
+            comm.charge_flops(flops)
+            agree = self._agreement(comm, coeffs, collected, live)
+            if agree >= threshold:
+                best = (coeffs, agree)
+                break
+        if best is None:
+            raise SoftFaultDetected(
+                f"no {q}-subset of column results is consistent with "
+                f">= {threshold} of {len(live)} live columns: more than "
+                f"floor(spare/2)={correctable} corruptions are present "
+                f"(spare={spare} after erasures; detectable but not "
+                "correctable)"
+            )
+        coeffs, agree = best
+        if agree < len(live):
+            comm.heap["_soft_corrections"] = (
+                comm.heap.get("_soft_corrections", 0) + (len(live) - agree)
+            )
+        return self._overlap_add(comm, coeffs)
 
     # repro-lint: in-phase -- runs inside the caller's phase context
     def _agreement(self, comm, coeffs, collected, live) -> int:
         """How many live columns' results match the candidate product's
         evaluation at their points."""
         eval_m = evaluation_matrix([self.points[j] for j in live], self.plan.q)
-        expected = apply_matrix_to_blocks(eval_m.rows, coeffs)
-        comm.charge_flops(matrix_apply_flops(eval_m.rows, len(coeffs[0])))
-        agree = 0
-        for j, exp in zip(live, expected):
-            if collected[j] == exp:
-                agree += 1
-        return agree
-
-    # repro-lint: in-phase -- runs inside the caller's phase context
-    def _overlap_add(self, comm, coeffs) -> LimbVector:
-        child_offset = len(coeffs[0]) // 2
-        out = [0] * (2 * self.plan.k * child_offset)
-        for m, block in enumerate(coeffs):
-            off = m * child_offset
-            for t, v in enumerate(block):
-                out[off + t] += v
-        comm.charge_flops(len(coeffs) * len(coeffs[0]))
-        return LimbVector(out, coeffs[0].base_bits)
+        expected, flops = apply_matrix_to_blocks(
+            BlockOperator.compile(eval_m.rows), coeffs
+        )
+        comm.charge_flops(flops)
+        return sum(1 for j, exp in zip(live, expected) if collected[j] == exp)

@@ -187,7 +187,7 @@ def _poly_column_family(
 ) -> FamilyReport:
     """Coded-column family: any ``needed`` surviving columns interpolate
     via the in-order choice ``sorted(survivors)[:needed]`` (the exact
-    subset :meth:`PolynomialCodedToomCook._coded_interpolation` inverts)."""
+    subset :meth:`PolynomialCodedToomCook._interpolate_columns` inverts)."""
     n = len(points)
     units = tuple(f"col-{j}" for j in range(n))
     distinct = points_pairwise_distinct(points)
@@ -296,7 +296,7 @@ def _multivariate_family(
 ) -> FamilyReport:
     """Multi-step coded columns: any ``(2k-1)**l`` surviving columns must
     give an invertible multivariate evaluation matrix (Claim 6.1) — the
-    matrix :meth:`MultiStepToomCook._coded_interpolation` inverts."""
+    matrix :meth:`MultiStepToomCook._interpolate_columns` inverts."""
     r = 2 * k - 1
     needed = r**l
     n = len(points)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bigint.blockops import apply_matrix_to_blocks, matrix_apply_flops, row_lcm
+from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
 from repro.bigint.limbs import LimbVector
 from repro.bigint.matrices import interpolation_matrix, toom_operators
-from repro.bigint.evalpoints import toom_points
+from repro.bigint.evalpoints import extended_toom_points, toom_points
 from repro.bigint.toomgraph import (
     AddMul,
     OpCosts,
@@ -25,53 +25,108 @@ def lv(*limbs):
     return LimbVector(limbs, 8)
 
 
-class TestRowLcm:
-    def test_integral_row(self):
-        assert row_lcm([1, -2, 3]) == 1
+def apply(rows, blocks):
+    return apply_matrix_to_blocks(BlockOperator.compile(rows), blocks)[0]
 
-    def test_rational_row(self):
-        assert row_lcm([Fraction(1, 2), Fraction(1, 3)]) == 6
+
+class TestBlockOperator:
+    def test_integral_row(self):
+        op = BlockOperator.compile([[1, -2, 3]])
+        assert op.rows == ((1, -2, 3),)
+        assert op.lcms == (1,)
+
+    def test_rational_row_scaled_by_lcm(self):
+        op = BlockOperator.compile([[Fraction(1, 2), Fraction(1, 3)]])
+        assert op.rows == ((3, 2),)
+        assert op.lcms == (6,)
+
+    def test_cost_model(self):
+        # row0: 1 nnz -> 2; row1: 2 nnz -> 4, plus 1 for the division.
+        op = BlockOperator.compile([[1, 0], [Fraction(1, 2), 1]])
+        assert op.cost == 2 + 4 + 1
+        _, flops = apply_matrix_to_blocks(op, [lv(*range(0, 20, 2)), lv(*range(10))])
+        assert flops == 10 * op.cost
+
+    def test_row_operator(self):
+        op = BlockOperator.compile([[1, 0], [Fraction(1, 2), 1]])
+        assert op.row(1) == BlockOperator.compile([[Fraction(1, 2), 1]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            BlockOperator.compile([[1, 2], [1]])
+
+    @pytest.mark.parametrize(
+        "k,costs", [(2, [8, 12, 16]), (3, [22, 28, 34]), (4, [44, 52, 60])]
+    )
+    def test_evaluation_costs(self, k, costs):
+        # Per-limb evaluation cost of U at f = 0, 1, 2 redundant points.
+        got = [
+            BlockOperator.compile(toom_operators(k, extended_toom_points(k, f))[0].rows).cost
+            for f in range(3)
+        ]
+        assert got == costs
+
+    @pytest.mark.parametrize("k,cost", [(2, 10), (3, 35), (4, 75)])
+    def test_interpolation_costs(self, k, cost):
+        assert BlockOperator.compile(toom_operators(k)[2].rows).cost == cost
 
 
 class TestApplyMatrixToBlocks:
     def test_integral_matrix(self):
-        out = apply_matrix_to_blocks([[1, 1], [1, -1]], [lv(3, 4), lv(1, 2)])
+        out = apply([[1, 1], [1, -1]], [lv(3, 4), lv(1, 2)])
         assert [b.limbs for b in out] == [(4, 6), (2, 2)]
 
     def test_rational_matrix_exact(self):
         # Row [1/2, 1/2] on blocks summing to even entries.
-        out = apply_matrix_to_blocks([[Fraction(1, 2), Fraction(1, 2)]], [lv(3), lv(5)])
+        out = apply([[Fraction(1, 2), Fraction(1, 2)]], [lv(3), lv(5)])
         assert out[0].limbs == (4,)
 
     def test_rational_inexact_raises(self):
         with pytest.raises(ValueError):
-            apply_matrix_to_blocks([[Fraction(1, 2), Fraction(1, 2)]], [lv(3), lv(4)])
+            apply([[Fraction(1, 2), Fraction(1, 2)]], [lv(3), lv(4)])
 
     def test_zero_row(self):
-        out = apply_matrix_to_blocks([[0, 0]], [lv(1, 2), lv(3, 4)])
+        out = apply([[0, 0]], [lv(1, 2), lv(3, 4)])
         assert out[0].is_zero()
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="row width"):
-            apply_matrix_to_blocks([[1, 2, 3]], [lv(1), lv(2)])
+            apply([[1, 2, 3]], [lv(1), lv(2)])
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(ValueError):
-            apply_matrix_to_blocks([[1]], [])
+            apply([[1]], [])
+
+    def test_block_length_mismatch(self):
+        with pytest.raises(ValueError):
+            apply([[1, 1]], [lv(1, 2), lv(3)])
 
     def test_matches_scalar_mat_vec(self):
         # Applying W^T blockwise to 1-limb blocks == plain mat_vec.
         w_t = interpolation_matrix(toom_points(2), 2)
         values = [6, 10, 4]
         blocks = [lv(v) for v in values]
-        out = apply_matrix_to_blocks(w_t.rows, blocks)
+        out = apply(w_t.rows, blocks)
         expected = mat_vec(w_t.rows, values)
         assert [b.limbs[0] for b in out] == [int(e) for e in expected]
 
-    def test_flops_model(self):
-        rows = [[1, 0], [Fraction(1, 2), 1]]
-        # row0: 1 nnz * 2 * len; row1: 2 nnz * 2 * len + len (division)
-        assert matrix_apply_flops(rows, 10) == 20 + 40 + 10
+
+class TestOverlapAdd:
+    def test_uniform_offsets(self):
+        out, flops = overlap_add([lv(1, 2), lv(3, 4), lv(5, 6)], [0, 1, 2], 4)
+        assert out.limbs == (1, 5, 9, 6)
+        assert flops == 6
+
+    def test_mixed_radix_offsets(self):
+        # Multi-step layout: blocks land at sums of per-variable weights,
+        # not at multiples of one stride.
+        out, flops = overlap_add([lv(1, 1), lv(2, 2), lv(3, 3), lv(4, 4)], [0, 3, 1, 4], 6)
+        assert out.limbs == (1, 4, 3, 2, 6, 4)
+        assert flops == 8
+
+    def test_block_past_end_rejected(self):
+        with pytest.raises(ValueError):
+            overlap_add([lv(1, 2)], [3], 4)
 
 
 class TestRowOps:

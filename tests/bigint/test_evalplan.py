@@ -60,9 +60,10 @@ class TestPlanCorrectness:
         plan = reuse_evaluation_plan(points, 3)
         blocks = [LimbVector([1, 2], 8), LimbVector([3, -4], 8), LimbVector([0, 5], 8)]
         got = plan.apply(blocks)
-        from repro.bigint.blockops import apply_matrix_to_blocks
+        from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks
 
-        want = apply_matrix_to_blocks(evaluation_matrix(points, 3).rows, blocks)
+        op = BlockOperator.compile(evaluation_matrix(points, 3).rows)
+        want, _flops = apply_matrix_to_blocks(op, blocks)
         assert got == want
 
     @given(st.integers(2, 5), st.data())

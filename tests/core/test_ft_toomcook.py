@@ -37,7 +37,6 @@ class TestGeometry:
         assert algo.n_tasks() == 9
         assert algo._task_path(0) == [0, 0]
         assert algo._task_path(5) == [1, 2]
-        assert algo._stack_schema(5) == [1, 2]
 
     def test_state_schema_matches_flatten(self):
         algo = build(extra_dfs=1)
