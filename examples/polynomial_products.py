@@ -7,8 +7,10 @@ the polynomial structure explicit: limb vectors with unresolved carries
 ARE polynomial coefficient vectors.  This example multiplies polynomials
 with integer coefficients three ways and shows they agree:
 
-1. directly, via :class:`LimbVector.convolve`;
-2. through the blockwise lazy Toom-Cook engine;
+1. directly, via :class:`LimbVector.convolve` (Kronecker substitution:
+   one integer multiply of the packed coefficient vectors);
+2. through the lazy Toom-Cook leaf entry point, which returns the same
+   product polynomial and charges the modeled recursion's flops;
 3. through the bilinear form <U, V, W^T> — evaluation, pointwise
    products, interpolation — the exact pipeline the parallel algorithm
    distributes.

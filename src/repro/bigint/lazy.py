@@ -7,12 +7,21 @@ depth-``l`` run is exactly an ``l``-variate polynomial multiplication over
 the evaluation-point grid ``S^l`` — which is what makes the parallel
 BFS-DFS traversal (and the polynomial fault-tolerance code) compose
 cleanly with it.
+
+Every level's interpolation is exact, so the recursion's output is the
+exact product polynomial of its two limb vectors, and its word-operation
+count depends only on ``k`` and the depth.  :meth:`LazyToomCook.multiply_blocks`
+therefore computes the product with :meth:`LimbVector.convolve` (one
+native multiply) and charges the recursion's flops from their closed
+form (the Toom-Cook cost recurrence of Kronenburg, "Toom-Cook
+Multiplication: Some Theoretical and Practical Aspects"): the recursion
+is charged, not walked.
 """
 
 from __future__ import annotations
 
-from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
-from repro.bigint.evalpoints import EvalPoint, toom_points
+from repro.bigint.blockops import BlockOperator
+from repro.bigint.evalpoints import toom_points
 from repro.bigint.limbs import LimbVector
 from repro.bigint.matrices import toom_operators
 from repro.bigint.split import lazy_depth, split_lazy
@@ -25,23 +34,21 @@ class LazyToomCook:
     """Sequential Toom-Cook-k with lazy interpolation.
 
     The recursion depth is chosen automatically from the operand size
-    unless ``depth`` is forced; each leaf multiplies one pair of digits
-    (single machine words, one flop each — Algorithm 2 line 12).
+    unless ``depth`` is forced.  The modeled recursion evaluates with the
+    compiled ``U``/``V``, multiplies ``2k-1`` sub-problems, interpolates
+    with ``W^T`` and overlap-adds, down to leaves that multiply one pair
+    of digits (single machine words, one flop each — Algorithm 2
+    line 12).  Its product is computed natively and its flops in closed
+    form (:meth:`flops`).
     """
 
-    def __init__(
-        self,
-        k: int,
-        threshold_bits: int = 64,
-        points: list[EvalPoint] | None = None,
-    ):
+    def __init__(self, k: int, threshold_bits: int = 64):
         if k < 2:
             raise ValueError("Toom-Cook requires k >= 2")
         check_positive("threshold_bits", threshold_bits)
         self.k = k
         self.threshold_bits = threshold_bits
-        self.points = list(points) if points is not None else toom_points(k)
-        u, _, w_t = toom_operators(k, self.points)
+        u, _, w_t = toom_operators(k, toom_points(k))
         self.U = self.V = BlockOperator.compile(u.rows)
         self.W_T = BlockOperator.compile(w_t.rows)
 
@@ -66,40 +73,31 @@ class LazyToomCook:
         """Blockwise product of two ``k**depth``-limb vectors.
 
         Returns the ``2*k**depth - 1``-limb product polynomial (carries
-        unresolved) and the flop count.  This is the code path the
-        parallel algorithm runs at its leaves.
+        unresolved) and the depth-``depth`` recursion's flop count.  This
+        is the code path the parallel algorithm runs at its leaves.
         """
         k = self.k
         if len(va) != k**depth or len(vb) != k**depth:
             raise ValueError(
                 f"expected {k**depth} limbs, got {len(va)} and {len(vb)}"
             )
-        if depth == 0:
-            return LimbVector([va[0] * vb[0]], va.base_bits), 1
+        return va.convolve(vb), self.flops(depth)
 
-        blocks_a = va.split_blocks(k)
-        blocks_b = vb.split_blocks(k)
-        block_len = k ** (depth - 1)
+    def flops(self, depth: int) -> int:
+        """Word operations of the depth-``depth`` blockwise recursion.
 
-        # Blockwise evaluation (Algorithm 2 lines 6-7).
-        a_evals, flops_a = apply_matrix_to_blocks(self.U, blocks_a)
-        b_evals, flops_b = apply_matrix_to_blocks(self.V, blocks_b)
-        flops = flops_a + flops_b
-
-        # Recursive pointwise products (lines 8-14).
-        c_evals: list[LimbVector] = []
-        for ea, eb in zip(a_evals, b_evals):
-            c, fl = self.multiply_blocks(ea, eb, depth - 1)
-            c_evals.append(c)
-            flops += fl
-
-        # Blockwise interpolation (line 15), then overlap-add reassembly:
-        # result[m*k^(d-1) + t] += coeffs[m][t].
-        coeffs, fl = apply_matrix_to_blocks(self.W_T, c_evals)
-        out, fl_add = overlap_add(
-            coeffs, range(0, len(coeffs) * block_len, block_len), 2 * k**depth - 1
-        )
-        return out, flops + fl + fl_add
+        ``F(0) = 1`` (one word product) and, with ``r = 2k-1`` sub-problems
+        on blocks of ``m = k**(d-1)`` limbs,
+        ``F(d) = (U.cost + V.cost)*m + r*F(d-1) + (W_T.cost + r)*(2m - 1)``:
+        evaluation of both operands, the sub-products, then interpolation
+        and overlap-add of ``r`` coefficient blocks of ``2m - 1`` limbs.
+        """
+        r = 2 * self.k - 1
+        f = 1
+        for d in range(1, depth + 1):
+            m = self.k ** (d - 1)
+            f = (self.U.cost + self.V.cost) * m + r * f + (self.W_T.cost + r) * (2 * m - 1)
+        return f
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LazyToomCook(k={self.k}, threshold_bits={self.threshold_bits})"

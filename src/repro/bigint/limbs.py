@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from repro.util.words import bits_to_words, digits_to_int, int_to_digits
+from repro.util.words import digits_to_int, int_to_digits
 
 __all__ = ["LimbVector"]
 
@@ -34,15 +34,12 @@ class LimbVector:
         if base_bits <= 0:
             raise ValueError("base_bits must be positive")
         entries = tuple(limbs)
-        for v in entries:
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise ValueError(f"non-integral limb {v}")
-            elif not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"limb must be an integer, got {type(v).__name__}")
-        object.__setattr__(
-            self, "limbs", tuple(int(v) for v in entries)
-        )
+        # One C-level scan covers the common case of exact ints; anything
+        # else (bool, Fraction, an int subclass, a stray float) takes the
+        # per-limb checks.
+        if not {*map(type, entries)} <= {int}:
+            entries = tuple(map(_checked_limb, entries))
+        object.__setattr__(self, "limbs", entries)
         object.__setattr__(self, "base_bits", base_bits)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -71,10 +68,11 @@ class LimbVector:
         return digits_to_int(list(self.limbs), self.base_bits)
 
     def words(self, word_bits: int) -> int:
-        """Size in machine words (for bandwidth accounting)."""
-        return sum(
-            bits_to_words(abs(v).bit_length(), word_bits) for v in self.limbs
-        ) or 1
+        """Size in machine words (for bandwidth accounting): the sum of
+        ``bits_to_words`` over the limbs, inlined."""
+        if word_bits <= 0:
+            raise ValueError("word_bits must be positive")
+        return sum([-(-v.bit_length() // word_bits) or 1 for v in self.limbs]) or 1
 
     # -- vector space -------------------------------------------------------
     def _check_compatible(self, other: "LimbVector") -> None:
@@ -136,17 +134,40 @@ class LimbVector:
 
     # -- polynomial ---------------------------------------------------------
     def convolve(self, other: "LimbVector") -> "LimbVector":
-        """Polynomial product of the two limb vectors (schoolbook
-        convolution); the result has ``len(a)+len(b)-1`` limbs."""
+        """Polynomial product of the two limb vectors; the result has
+        ``len(a)+len(b)-1`` limbs.
+
+        Kronecker substitution (Chen et al., "Parallel Integer Polynomial
+        Multiplication"): each vector is packed into one integer with a
+        byte-aligned slot per limb, wide enough that no product coefficient
+        overflows its slot, so one native multiply computes every
+        coefficient at once.
+        """
         if self.base_bits != other.base_bits:
             raise ValueError("mismatched limb radices")
         a, b = self.limbs, other.limbs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return LimbVector(out, self.base_bits)
+        n = max(len(a) + len(b) - 1, 0)
+        # |c_j| <= min(len) * max|a| * max|b| < 2**(slot - 1).
+        slot = (
+            max(map(abs, a), default=0).bit_length()
+            + max(map(abs, b), default=0).bit_length()
+            + min(len(a), len(b)).bit_length()
+            + 1
+        )
+        width = -(-slot // 8)
+        c = _pack(a, width) * _pack(b, width)
+        # Plus half a slot each, every coefficient is non-negative and
+        # below a full slot, so no slot borrows from the next; the XOR
+        # then leaves each slot in two's complement.
+        bias = _slot_bias(width, n)
+        data = ((c + bias) ^ bias).to_bytes(n * width, "little")
+        return LimbVector(
+            [
+                int.from_bytes(data[i : i + width], "little", signed=True)
+                for i in range(0, n * width, width)
+            ],
+            self.base_bits,
+        )
 
     # -- blocks ------------------------------------------------------------
     def split_blocks(self, nblocks: int) -> list["LimbVector"]:
@@ -217,3 +238,31 @@ class LimbVector:
         shown = list(self.limbs[:6])
         suffix = "..." if len(self.limbs) > 6 else ""
         return f"LimbVector({shown}{suffix}, base_bits={self.base_bits})"
+
+
+def _checked_limb(v) -> int:
+    """One limb as an exact ``int``: integral Fractions and int
+    subclasses normalize; bools and non-integers are rejected."""
+    if isinstance(v, Fraction):
+        if v.denominator != 1:
+            raise ValueError(f"non-integral limb {v}")
+    elif not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"limb must be an integer, got {type(v).__name__}")
+    return int(v)
+
+
+def _slot_bias(width: int, count: int) -> int:
+    """``2**(8*width-1)`` in each of ``count`` ``width``-byte slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(limbs: Sequence[int], width: int) -> int:
+    """``sum(v << (8*width*i))`` over signed limbs with
+    ``|v| < 2**(8*width - 1)``, built from ``width``-byte slots."""
+    twos = int.from_bytes(
+        b"".join([v.to_bytes(width, "little", signed=True) for v in limbs]), "little"
+    )
+    # Flipping each slot's top bit turns two's complement v into
+    # v + 2**(8*width-1); subtracting that bias leaves the signed sum.
+    bias = _slot_bias(width, len(limbs))
+    return (twos ^ bias) - bias

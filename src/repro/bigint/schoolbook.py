@@ -2,8 +2,9 @@
 
 The paper's introduction contrasts Toom-Cook against the schoolbook
 algorithm; the sequential-crossover benchmark regenerates that comparison.
-The implementation works limb-by-limb so its arithmetic-operation count is
-the honest ``Θ(n²)`` (Python's builtin ``*`` is only used on single limbs).
+The product comes from :meth:`LimbVector.convolve` (one native multiply by
+Kronecker substitution); the ``Θ(n²)`` count is the modeled charge of the
+limb-by-limb algorithm, one multiply and one add per limb pair.
 """
 
 from __future__ import annotations

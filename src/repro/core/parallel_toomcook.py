@@ -13,8 +13,10 @@ The BFS-DFS traversal over the simulated machine:
   happens on the way up, followed by local interpolation (``W^T``) and
   overlap-add.
 - **Leaves**: one rank holds one sub-problem outright and multiplies it
-  with the sequential lazy algorithm (Algorithm 2), continuing the same
-  recursion to word granularity.
+  with the sequential lazy algorithm (Algorithm 2).  The leaf computes
+  the exact product polynomial with one native multiply
+  (``LimbVector.convolve``) and charges the closed-form flop count of
+  Algorithm 2's recursion to word granularity.
 
 The product is returned in *distributed lazy-digit form* (each rank holds
 the cyclic slice of the 2n-word product polynomial, carries unresolved);

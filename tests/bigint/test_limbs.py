@@ -7,10 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bigint.limbs import LimbVector
+from repro.util.words import bits_to_words
 
 
 def lv(*limbs, base_bits=8):
     return LimbVector(limbs, base_bits)
+
+
+def reference_convolve(a, b):
+    """Schoolbook limb-pair loop: the product polynomial's coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
 
 
 class TestConstruction:
@@ -37,6 +47,19 @@ class TestConstruction:
     def test_non_int_rejected(self):
         with pytest.raises(TypeError):
             LimbVector([1.5], 8)
+
+    @pytest.mark.parametrize("bad", [True, "1"])
+    def test_bool_and_str_rejected(self, bad):
+        with pytest.raises(TypeError):
+            LimbVector([1, bad], 8)
+
+    def test_int_subclass_normalized(self):
+        class Limb(int):
+            pass
+
+        v = LimbVector([Limb(5), 6, Fraction(8, 2)], 8)
+        assert v.limbs == (5, 6, 4)
+        assert all(type(x) is int for x in v.limbs)
 
     def test_bad_base_bits(self):
         with pytest.raises(ValueError):
@@ -131,6 +154,37 @@ class TestConvolve:
         with pytest.raises(ValueError):
             lv(1, base_bits=8).convolve(lv(1, base_bits=16))
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ((7,), (-9,)),
+            ((0,), (0,)),
+            ((0, 0, 0), (5, -5)),
+            ((-1, 2, -3), (4,)),
+            ((1 << 70, -(1 << 90), 0, 3), (-(1 << 64), 1)),
+            ((-255, -255, -255), (-255, -255, -255, -255, -255)),
+        ],
+    )
+    def test_limb_exact(self, a, b):
+        assert lv(*a).convolve(lv(*b)).limbs == reference_convolve(a, b)
+        assert lv(*b).convolve(lv(*a)).limbs == reference_convolve(b, a)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_at_slot_bound(self, sign):
+        # 255 limbs of magnitude 255: the middle coefficient 255**3 needs
+        # all 8 + 8 + 8 + 1 bits of its slot, one past a byte boundary.
+        a, b = (sign * 255,) * 255, (255,) * 255
+        assert max(map(abs, reference_convolve(a, b))) == 255**3
+        assert lv(*a).convolve(lv(*b)).limbs == reference_convolve(a, b)
+
+    @given(
+        st.lists(st.integers(-(1 << 200), 1 << 200), min_size=1, max_size=12),
+        st.lists(st.integers(-(1 << 200), 1 << 200), min_size=1, max_size=12),
+    )
+    @settings(max_examples=100)
+    def test_limb_exact_property(self, a, b):
+        assert LimbVector(a, 16).convolve(LimbVector(b, 16)).limbs == reference_convolve(a, b)
+
 
 class TestBlocks:
     def test_split_concat_round_trip(self):
@@ -168,6 +222,19 @@ class TestSizingAndContainer:
     def test_words_counts_per_limb(self):
         v = LimbVector([1, 1 << 100, 0], 8)
         assert v.words(64) == 1 + 2 + 1
+
+    @given(
+        st.lists(st.integers(-(1 << 300), 1 << 300), max_size=10),
+        st.sampled_from([1, 7, 16, 64]),
+    )
+    @settings(max_examples=60)
+    def test_words_is_bits_to_words_sum(self, limbs, word_bits):
+        expected = sum(bits_to_words(abs(v).bit_length(), word_bits) for v in limbs)
+        assert LimbVector(limbs, 8).words(word_bits) == (expected or 1)
+
+    def test_words_bad_word_bits(self):
+        with pytest.raises(ValueError):
+            lv(1).words(0)
 
     def test_len_getitem_iter_eq_hash(self):
         v = lv(5, 6)

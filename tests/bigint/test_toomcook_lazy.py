@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bigint.blockops import apply_matrix_to_blocks, overlap_add
 from repro.bigint.evalpoints import extended_toom_points
 from repro.bigint.lazy import LazyToomCook
 from repro.bigint.limbs import LimbVector
@@ -12,6 +13,47 @@ from repro.bigint.split import split_lazy
 from repro.bigint.toomcook import ToomCook, toom_cost
 
 big_ints = st.integers(min_value=-(1 << 600), max_value=1 << 600)
+
+
+def recursive_multiply_blocks(lz, va, vb, depth):
+    """The blockwise recursion ``multiply_blocks`` models, walked to
+    single-word leaves: evaluate with U/V, recurse on the 2k-1
+    sub-problems, interpolate with W^T, overlap-add."""
+    if depth == 0:
+        return LimbVector([va[0] * vb[0]], va.base_bits), 1
+    k = lz.k
+    block_len = k ** (depth - 1)
+    a_evals, flops_a = apply_matrix_to_blocks(lz.U, va.split_blocks(k))
+    b_evals, flops_b = apply_matrix_to_blocks(lz.V, vb.split_blocks(k))
+    flops = flops_a + flops_b
+    c_evals = []
+    for ea, eb in zip(a_evals, b_evals):
+        c, fl = recursive_multiply_blocks(lz, ea, eb, depth - 1)
+        c_evals.append(c)
+        flops += fl
+    coeffs, fl = apply_matrix_to_blocks(lz.W_T, c_evals)
+    out, fl_add = overlap_add(
+        coeffs, range(0, len(coeffs) * block_len, block_len), 2 * k**depth - 1
+    )
+    return out, flops + fl + fl_add
+
+
+#: Deepest recursion the reference walks per k (64 limbs each).
+MAX_DEPTH = {2: 6, 3: 4, 4: 3}
+
+
+@st.composite
+def block_pairs(draw):
+    """``(k, depth, va, vb)``: two ``k**depth``-limb vectors of signed
+    limbs below ``2**bits`` in magnitude, ``bits`` in 0..200 (0 gives
+    all-zero vectors)."""
+    k = draw(st.sampled_from(sorted(MAX_DEPTH)))
+    depth = draw(st.integers(0, MAX_DEPTH[k]))
+    bits = draw(st.integers(0, 200))
+    limb = st.integers(-(1 << bits) + 1, (1 << bits) - 1)
+    n = k**depth
+    va, vb = (draw(st.lists(limb, min_size=n, max_size=n)) for _ in "ab")
+    return k, depth, LimbVector(va, 64), LimbVector(vb, 64)
 
 
 class TestToomCook:
@@ -161,6 +203,41 @@ class TestLazyToomCook:
 
 
 class TestMultiplyBlocks:
+    @given(block_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_recursion(self, case):
+        k, depth, va, vb = case
+        lz = LazyToomCook(k)
+        assert lz.multiply_blocks(va, vb, depth) == recursive_multiply_blocks(
+            lz, va, vb, depth
+        )
+
+    @pytest.mark.parametrize(
+        "k,depth", [(k, d) for k, top in MAX_DEPTH.items() for d in range(top + 1)]
+    )
+    def test_zero_vectors_match_recursion(self, k, depth):
+        lz = LazyToomCook(k)
+        zeros = LimbVector.zeros(k**depth, 64)
+        out, flops = lz.multiply_blocks(zeros, zeros, depth)
+        assert (out, flops) == recursive_multiply_blocks(lz, zeros, zeros, depth)
+        assert out.limbs == (0,) * (2 * k**depth - 1)
+
+    @pytest.mark.parametrize(
+        "k,expected",
+        [
+            (2, [1, 32, 167, 656, 2291, 7532, 23927, 74456, 228731]),
+            (3, [1, 89, 777, 4961, 28113, 150569]),
+            (4, [1, 177, 2165, 19105, 149781]),
+        ],
+    )
+    def test_flops_pinned(self, k, expected):
+        # The counts the single-word recursion charged before its flops
+        # came from the closed form.
+        lz = LazyToomCook(k)
+        for depth, flops in enumerate(expected):
+            ones = LimbVector([1] * k**depth, 64)
+            assert lz.multiply_blocks(ones, ones, depth)[1] == flops
+
     def test_leaf(self):
         lz = LazyToomCook(2, threshold_bits=8)
         out, flops = lz.multiply_blocks(
