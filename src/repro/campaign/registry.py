@@ -26,6 +26,8 @@ from repro.util.rng import DeterministicRNG
 
 __all__ = [
     "Execution",
+    "FT_LINEAR_COLUMN",
+    "FT_LINEAR_STATE_WORDS",
     "VariantSpec",
     "register_variant",
     "registered_variants",
@@ -356,8 +358,11 @@ def _register_builtins() -> None:
 
 # -- the ft_linear protocol variant ------------------------------------------
 
-_FT_LINEAR_COLUMN = 3  # standard processors in the probed column
-_FT_LINEAR_STATE_WORDS = 8
+#: Standard processors in the ft_linear variant's probed column, and the
+#: words of state each one holds.  The verification tools (commcheck,
+#: faultcheck) read the variant's geometry from here.
+FT_LINEAR_COLUMN = 3
+FT_LINEAR_STATE_WORDS = 8
 _FT_LINEAR_WORK_OPS = 6
 
 
@@ -387,7 +392,7 @@ class _FtLinearProgram:
         lost = False
         try:
             with comm.phase(PHASE_CODE):
-                if comm.rank < _FT_LINEAR_COLUMN:
+                if comm.rank < FT_LINEAR_COLUMN:
                     code.encode(comm, state, epoch=0)
                 else:
                     word = code.encode(comm, None, epoch=0)
@@ -414,8 +419,8 @@ class _FtLinearProgram:
         dead = comm.agree_dead(("dead", 0), all_ranks)
         if lost:
             comm.begin_replacement(purge=False)
-        dead_standard = sorted(r for r in dead if r < _FT_LINEAR_COLUMN)
-        stale_codes = sorted(r for r in dead if r >= _FT_LINEAR_COLUMN)
+        dead_standard = sorted(r for r in dead if r < FT_LINEAR_COLUMN)
+        stale_codes = sorted(r for r in dead if r >= FT_LINEAR_COLUMN)
         if dead_standard:
             with comm.phase(PHASE_RECOV):
                 recovered = code.recover(
@@ -428,7 +433,7 @@ class _FtLinearProgram:
                 )
             if comm.rank in dead_standard:
                 state = recovered
-        if comm.rank >= _FT_LINEAR_COLUMN or state is None:
+        if comm.rank >= FT_LINEAR_COLUMN or state is None:
             return None
         return tuple(state.limbs)
 
@@ -445,9 +450,9 @@ def _ft_linear_spec() -> VariantSpec:
         return tuple(
             tuple(
                 rng.integer_range(0, (1 << cfg.word_bits) - 1)
-                for _ in range(_FT_LINEAR_STATE_WORDS)
+                for _ in range(FT_LINEAR_STATE_WORDS)
             )
-            for _ in range(_FT_LINEAR_COLUMN)
+            for _ in range(FT_LINEAR_COLUMN)
         )
 
     def execute(
@@ -461,10 +466,10 @@ def _ft_linear_spec() -> VariantSpec:
         from repro.machine.engine import Machine
 
         f = cfg.f
-        size = _FT_LINEAR_COLUMN + f
+        size = FT_LINEAR_COLUMN + f
         code = ColumnCode(
-            column=list(range(_FT_LINEAR_COLUMN)),
-            code_ranks=list(range(_FT_LINEAR_COLUMN, size)),
+            column=list(range(FT_LINEAR_COLUMN)),
+            code_ranks=list(range(FT_LINEAR_COLUMN, size)),
         )
         program = _FtLinearProgram(code, cfg.word_bits, size)
 
@@ -487,7 +492,7 @@ def _ft_linear_spec() -> VariantSpec:
                 fired=tuple(schedule.fired),
             )
         return Execution(
-            actual=tuple(run.results[: _FT_LINEAR_COLUMN]),
+            actual=tuple(run.results[: FT_LINEAR_COLUMN]),
             expected=tuple(workload),
             error=None,
             fired=tuple(schedule.fired),
@@ -496,7 +501,7 @@ def _ft_linear_spec() -> VariantSpec:
     def tolerates(ev: FaultEvent, cfg: Any) -> bool:
         return (
             ev.kind == "hard"
-            and ev.rank < _FT_LINEAR_COLUMN
+            and ev.rank < FT_LINEAR_COLUMN
             and ev.phase == "work"
         )
 

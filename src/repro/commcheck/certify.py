@@ -26,6 +26,7 @@ from repro.analysis.formulas import (
     replication_costs,
     t_reduce_costs,
 )
+from repro.campaign.registry import FT_LINEAR_COLUMN, FT_LINEAR_STATE_WORDS
 from repro.commcheck.graph import CommGraph
 
 __all__ = [
@@ -35,10 +36,6 @@ __all__ = [
     "measured_costs",
     "TOLERANCES",
 ]
-
-# ft_linear mirrors of the registry's protocol-variant constants.
-_FT_LINEAR_COLUMN = 3
-_FT_LINEAR_STATE_WORDS = 8
 
 #: Per-variant (tol_bw, tol_l): calibrated on the live tree at the
 #: default (P=9, k=2, f=1, bits=600) with ~2x headroom over the measured
@@ -121,7 +118,7 @@ def _prediction(graph: CommGraph) -> CostPrediction:
     n_words = meta.get("n_words", 0)
     if name == "ft_linear":
         return t_reduce_costs(
-            t=f, w_words=_FT_LINEAR_STATE_WORDS, p=_FT_LINEAR_COLUMN + f
+            t=f, w_words=FT_LINEAR_STATE_WORDS, p=FT_LINEAR_COLUMN + f
         )
     if name == "parallel":
         return parallel_toomcook_costs(n_words, p, k)

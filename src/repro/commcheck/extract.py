@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import Any
 
-from repro.campaign.registry import get_variant
+from repro.campaign.registry import FT_LINEAR_COLUMN, get_variant
 from repro.campaign.runner import CampaignConfig, _workload_rng
 from repro.commcheck.graph import CommGraph
 from repro.core.plan import make_plan
@@ -32,6 +32,7 @@ from repro.util.env import backend_scope
 __all__ = [
     "COMMCHECK_VARIANTS",
     "ExtractionError",
+    "geometry",
     "make_config",
     "extract_variant",
 ]
@@ -47,9 +48,6 @@ COMMCHECK_VARIANTS = (
     "replication",
     "multistep",
 )
-
-# Mirror of the ft_linear variant's fixed column geometry (registry).
-_FT_LINEAR_COLUMN = 3
 
 
 class ExtractionError(RuntimeError):
@@ -79,14 +77,14 @@ def make_config(
     )
 
 
-def _geometry(name: str, cfg: CampaignConfig) -> dict[str, Any]:
+def geometry(name: str, cfg: CampaignConfig) -> dict[str, Any]:
     """Machine geometry for ``name`` under ``cfg`` (mirrors the variant
     factories in :mod:`repro.campaign.registry`)."""
     if name == "ft_linear":
         return {
-            "machine_size": _FT_LINEAR_COLUMN + cfg.f,
+            "machine_size": FT_LINEAR_COLUMN + cfg.f,
             "code_ranks": list(
-                range(_FT_LINEAR_COLUMN, _FT_LINEAR_COLUMN + cfg.f)
+                range(FT_LINEAR_COLUMN, FT_LINEAR_COLUMN + cfg.f)
             ),
             "f_eff": cfg.f,
             "n_words": 0,
@@ -176,7 +174,7 @@ def extract_variant(
         "word_bits": cfg.word_bits,
         "seed": cfg.seed,
     }
-    meta.update(_geometry(name, cfg))
+    meta.update(geometry(name, cfg))
     ranks = recorder.ops()
     # Ranks that never communicated still belong in the graph.
     for rank in range(meta["machine_size"]):

@@ -35,6 +35,7 @@ from typing import Any, Callable, Sequence
 from repro.bigint.evalpoints import extended_toom_points, points_pairwise_distinct
 from repro.bigint.matrices import interpolation_matrix_for_points
 from repro.bigint.multivariate import evaluation_matrix_multivariate
+from repro.campaign.registry import FT_LINEAR_COLUMN
 from repro.campaign.runner import CampaignConfig
 from repro.coding.erasure import recovery_coefficients
 from repro.coding.general_position import is_general_position
@@ -58,9 +59,6 @@ __all__ = [
     "DecodeReport",
     "prove_decodability",
 ]
-
-# Mirror of the registry's ft_linear protocol geometry.
-_FT_LINEAR_COLUMN = 3
 
 #: Phases in which the combined algorithm's *linear* column code is the
 #: recovery mechanism for standard ranks (task-boundary encode/recover).
@@ -501,7 +499,7 @@ def _families_for(variant: str, cfg: CampaignConfig) -> list[FamilyReport]:
     if variant == "parallel":
         return []
     if variant == "ft_linear":
-        return [_linear_code_family("column-code", _FT_LINEAR_COLUMN, f)]
+        return [_linear_code_family("column-code", FT_LINEAR_COLUMN, f)]
     if variant == "ft_polynomial":
         points = extended_toom_points(k, f)
         return [_poly_column_family("poly-columns", points, q, f)]

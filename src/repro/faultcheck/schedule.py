@@ -35,7 +35,7 @@ from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import _workload_rng
 from repro.commcheck.certify import cost_envelope, measured_costs
 from repro.commcheck.checker import Finding, check_graph
-from repro.commcheck.extract import _geometry
+from repro.commcheck.extract import geometry
 from repro.commcheck.graph import CommGraph
 from repro.faultcheck.space import (
     EquivClass,
@@ -174,7 +174,7 @@ def build_fault_graph(
     killed.
     """
     cfg = space.cfg
-    geo = _geometry(space.variant, cfg)
+    geo = geometry(space.variant, cfg)
     dead = {ev.rank for ev in fired if ev.kind == "hard"}
     # A hard fault condemns its whole erasure unit: the coded column /
     # replica group the in-order decode drops along with the dead rank.

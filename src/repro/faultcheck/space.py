@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.campaign.probe import DOMAIN_OF_KIND, OpSpace, probe_variant
-from repro.campaign.registry import VariantSpec, get_variant
+from repro.campaign.registry import FT_LINEAR_COLUMN, VariantSpec, get_variant
 from repro.campaign.runner import CampaignConfig, _workload_rng
+from repro.commcheck.extract import COMMCHECK_VARIANTS
 from repro.machine.fault import FaultEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,20 +46,8 @@ __all__ = [
     "enumerate_space",
 ]
 
-#: Same registry order as commcheck's variant tuple.
-FAULTCHECK_VARIANTS = (
-    "parallel",
-    "ft_linear",
-    "ft_polynomial",
-    "ft_toomcook",
-    "soft_faults",
-    "checkpoint",
-    "replication",
-    "multistep",
-)
-
-# Mirror of the registry's ft_linear protocol geometry.
-_FT_LINEAR_COLUMN = 3
+#: The variants faultcheck certifies: commcheck's eight, in registry order.
+FAULTCHECK_VARIANTS = COMMCHECK_VARIANTS
 
 ROLE_STANDARD = "standard"
 ROLE_LINEAR = "linear-code"
@@ -127,10 +116,10 @@ class EquivClass:
 
 def rank_role(variant: str, rank: int, cfg: CampaignConfig) -> str:
     """The symmetry role of ``rank`` in ``variant``'s machine geometry
-    (mirrors the registry factories and :func:`repro.commcheck.extract._geometry`)."""
+    (mirrors the registry factories and :func:`repro.commcheck.extract.geometry`)."""
     p, q, f = cfg.p, 2 * cfg.k - 1, cfg.f
     if variant == "ft_linear":
-        return ROLE_STANDARD if rank < _FT_LINEAR_COLUMN else ROLE_LINEAR
+        return ROLE_STANDARD if rank < FT_LINEAR_COLUMN else ROLE_LINEAR
     if variant in ("parallel", "checkpoint"):
         return ROLE_STANDARD
     if variant == "replication":

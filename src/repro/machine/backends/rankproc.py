@@ -13,7 +13,8 @@ Three threads per rank process:
 
 - the *program* thread (the process main thread) runs the rank program;
 - the *receiver* thread drains the socket — message deliveries into the
-  local router, liveness events into the mirrors, control replies to the
+  local router, liveness events into the mirrors (waking the program
+  thread's :class:`RankWaiter` after each), control replies to the
   program thread;
 - the *heartbeat* thread pings the coordinator every
   ``REPRO_HEARTBEAT`` seconds so a wedged process is distinguishable
@@ -52,7 +53,7 @@ from repro.machine.network import Message, Router
 from repro.machine.record import ScheduleRecorder
 from repro.util.env import heartbeat_interval, join_grace, poll_interval
 
-__all__ = ["RankConfig", "ProcRouter", "ProcCommunicator", "rank_main"]
+__all__ = ["RankConfig", "RankWaiter", "ProcRouter", "ProcCommunicator", "rank_main"]
 
 
 @dataclass
@@ -92,6 +93,68 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return MachineError(f"unpicklable rank error: {exc!r}")
 
 
+class RankWaiter:
+    """The rank process's scheduler, and the process backend's one
+    wall-clock wait.
+
+    Installed as ``state.scheduler``: the inherited receive loop parks
+    here between re-checks, and so does :meth:`ProcCommunicator.gate`
+    between polls.  The receiver thread calls :meth:`wake` after every
+    delivery and liveness event.  Wakes are counted, so one that lands
+    between a failed re-check and the park returns the park at once
+    instead of being lost.  Each receive and each gate gets its own
+    ``limit``, measured from its first park; :meth:`begin` marks where a
+    new one starts.  Every park returns True ("re-check") until that
+    limit has run out, then False.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._wakes = 0  # guarded-by: _cond
+        # Program thread only: wakes already acted on, and the current
+        # wait's deadline (None until its first park).
+        self._seen = 0
+        self._deadline: float | None = None
+
+    def wake(self) -> None:
+        """A delivery or liveness event landed (receiver thread)."""
+        with self._cond:
+            self._wakes += 1
+            self._cond.notify()
+
+    def begin(self) -> None:
+        """A new receive or gate starts; its first park sets its deadline."""
+        self._deadline = None
+
+    def block_recv(self, rank: int, source: int, tag: int, limit: float) -> bool:
+        """Park a receive until the next wake."""
+        return self._park(limit, None)
+
+    def block_gate(self, limit: float) -> bool:
+        """Park a gate until the next wake or for one poll interval (the
+        coordinator does not push gate arrivals)."""
+        return self._park(limit, poll_interval())
+
+    def _park(self, limit: float, tick: float | None) -> bool:
+        now = time.monotonic()
+        if self._deadline is None:
+            self._deadline = now + limit
+        remaining = self._deadline - now
+        with self._cond:
+            if self._wakes == self._seen:
+                if remaining <= 0:
+                    return False
+                self._cond.wait(remaining if tick is None else min(tick, remaining))
+            self._seen = self._wakes
+        return True
+
+    def on_post(self, msg: Message) -> None:
+        """Sends leave the process; deliveries arrive through :meth:`wake`."""
+
+    def yield_turn(self, rank: int) -> None:
+        """Detector reads see the receiver thread's mirrors directly."""
+
+
 class HubClient:
     """The rank process's connection to the coordinator.
 
@@ -113,6 +176,7 @@ class HubClient:
         self._reply: tuple[int, Any] | None = None
         self._last_purge = 0
         self._stop_heartbeat = threading.Event()
+        self.waiter = RankWaiter()
 
     # -- frame output (any thread) ------------------------------------------
     def send(self, kind: str, payload: Any = None) -> None:
@@ -161,14 +225,17 @@ class HubClient:
     def _receive_loop(self) -> None:
         state = self.state
         router = self.router
+        waiter = self.waiter
         assert state is not None and router is not None
         try:
             while True:
                 kind, payload = wire.recv_frame(self.sock)
                 if kind == wire.DELIVER:
                     router.post_local(payload)
+                    waiter.wake()
                 elif kind == wire.EVENT:
                     self._apply_event(state, payload)
+                    waiter.wake()
                 elif kind == wire.PURGE_DONE:
                     self._last_purge = router.purge_local(self.config.rank)
                 elif kind == wire.CONTROL_REPLY:
@@ -238,13 +305,13 @@ class ProcRouter(Router):
 
     Only this rank's own mailbox is live here: ``post`` to any other
     rank becomes a ``DATA`` frame, and the receiver thread feeds
-    forwarded deliveries back in via :meth:`post_local`.  ``collect``
-    (and with it the entire matched-receive/fail-over machinery of
+    forwarded deliveries back in via :meth:`post_local`.  ``take`` (and
+    with it the entire matched-receive/fail-over machinery of
     :class:`~repro.machine.comm.Communicator`) is inherited unchanged.
     """
 
-    def __init__(self, size: int, default_timeout: float, client: HubClient):
-        super().__init__(size, default_timeout=default_timeout)
+    def __init__(self, size: int, client: HubClient):
+        super().__init__(size)
         self._client = client
         self._own_rank = client.config.rank
 
@@ -294,6 +361,11 @@ class ProcCommunicator(Communicator):
         super().__init__(state, rank)
         self._client = client
 
+    def _collect_matched(self, *args: Any, **kwargs: Any) -> Message:
+        """The inherited receive loop, with a fresh wait limit."""
+        self._client.waiter.begin()
+        return super()._collect_matched(*args, **kwargs)
+
     # -- agreement / votes / gates ------------------------------------------
     def agree_dead(self, key: Any, candidates: Any) -> frozenset:
         dead = self._client.control("agree_dead", key, tuple(candidates))
@@ -328,16 +400,13 @@ class ProcCommunicator(Communicator):
                 self.incarnation,
             )
         limit = state.timeout if timeout is None else timeout
-        deadline = time.monotonic() + limit
-        interval = poll_interval()
-        while True:
-            if self._client.control("gate_poll", key, tuple(participants)):
-                return
-            if time.monotonic() > deadline:
+        waiter = self._client.waiter
+        waiter.begin()
+        while not self._client.control("gate_poll", key, tuple(participants)):
+            if not waiter.block_gate(limit):
                 raise DeadlockError(
                     f"rank {self.rank}: gate {key!r} never completed"
                 )
-            time.sleep(interval)
 
     # -- withdrawal ----------------------------------------------------------
     def mark_aborted(self, task: int) -> None:
@@ -437,7 +506,7 @@ def rank_main(config: RankConfig) -> None:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     client = HubClient(sock, config)
     snapshot = client.handshake()
-    router = ProcRouter(config.size, config.timeout, client)
+    router = ProcRouter(config.size, client)
     memories = [
         LocalMemory(config.memory_words, rank=r) for r in range(config.size)
     ]
@@ -453,6 +522,7 @@ def rank_main(config: RankConfig) -> None:
         tracer=None,
         recorder=ScheduleRecorder() if config.record else None,
     )
+    state.scheduler = client.waiter
     with state.lock:
         state.alive[:] = snapshot["alive"]
         state.finished[:] = snapshot["finished"]

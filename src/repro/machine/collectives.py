@@ -19,10 +19,10 @@ Sibeyn 2003; Birnbaum & Schwartz 2018):
 
 Fully pipelining Sanders-Sibeyn trees in a thread simulator would obscure
 the algorithms under test, so these two primitives move the data directly
-(uncharged transport) and *charge the proven costs explicitly* — exactly as
-the paper takes Lemma 2.5 as given.  The charging is verified against the
-lemma's formulas in the collective benchmarks, and callers can pass
-``modeled=False`` to fall back to counted binomial-tree loops instead.
+(uncharged transport through the communicator's one receive loop) and
+*charge the proven costs explicitly* — exactly as the paper takes Lemma 2.5
+as given.  The charging is verified against the lemma's formulas in the
+collective benchmarks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Sequence
 
-from repro.machine.errors import CommError
+from repro.machine.errors import CommError, PeerDead
 from repro.machine.sizes import payload_words
 from repro.machine.tags import (
     TAG_ALLGATHER,
@@ -287,80 +287,24 @@ def _uncharged_send(comm: Any, dest: int, payload: Any, tag: int) -> None:
         gdest = base.ranks[gdest]
         base = base.parent
     base.fault_point()
-    from repro.machine.network import Message
-
     recorder = base._state.recorder
     if recorder is not None:
         recorder.on_send(
             base.rank, base.current_phase, gdest, tag, 0, 0,
             base.incarnation, modeled=True,
         )
-    msg = Message(
-        source=base.rank,
-        dest=gdest,
-        tag=tag,
-        payload=payload,
-        words=0,
-        clock=base.clock.snapshot(),
-        incarnation=base.incarnation,
-    )
-    base._state.router.post(msg)
-    scheduler = base._state.scheduler
-    if scheduler is not None:
-        scheduler.on_post(msg)
+    base._post(gdest, payload, tag, 0)
 
 
 def _uncharged_recv(comm: Any, source: int, tag: int) -> Any:
-    from repro.machine.errors import DeadlockError, PeerDead
-
+    """The receiving end of :func:`_uncharged_send`: merge the sender's
+    clock, charge nothing.  Fails over only when the source dies."""
     base, gsource = comm, source
     while hasattr(base, "parent"):
         gsource = base.ranks[gsource]
         base = base.parent
-    from repro.util.env import poll_interval
-
     base.fault_point()
-    state = base._state
-    scheduler = state.scheduler
-    if scheduler is not None:
-        # Simulator: park instead of polling; the dead-source check
-        # deliberately mirrors the process-backend path below (liveness
-        # only — a finished-but-alive source is a deadlock, not a
-        # fail-over).
-        while True:
-            try:
-                msg = state.router.collect(base.rank, gsource, tag, timeout=0.0)
-                break
-            except DeadlockError:
-                with state.lock:
-                    source_dead = not state.alive[gsource]
-                if source_dead:
-                    raise PeerDead(gsource) from None
-                if not scheduler.block_recv(
-                    base.rank, gsource, tag, state.timeout
-                ):
-                    raise
-    else:
-        waited = 0.0
-        interval = poll_interval()
-        while True:
-            try:
-                msg = state.router.collect(base.rank, gsource, tag, timeout=interval)
-                break
-            except DeadlockError:
-                waited += interval
-                with state.lock:
-                    source_dead = not state.alive[gsource]
-                if source_dead:
-                    raise PeerDead(gsource) from None
-                if waited >= state.timeout:
-                    raise
-    recorder = state.recorder
-    if recorder is not None:
-        recorder.on_recv(
-            base.rank, base.current_phase, msg.source, msg.tag, msg.words, 0,
-            base.incarnation, modeled=True,
-        )
+    msg = base._collect_matched(gsource, tag, None, None, modeled=True)
     base.clock.merge(msg.clock)
     return msg.payload
 
@@ -370,7 +314,6 @@ def t_reduce(
     contributions: dict[int, Any],
     op: Callable[[Any, Any], Any] = _ADD,
     tag: int = TAG_T_REDUCE,
-    modeled: bool = True,
 ) -> Any:
     """``t`` simultaneous reductions (Lemma 2.5).
 
@@ -381,23 +324,16 @@ def t_reduce(
 
     Costs charged per rank (modeled, per Lemma 2.5): ``F = t*W``,
     ``BW = t*W``, ``L = O(log P + t)`` where ``W`` is this rank's total
-    contribution size.  With ``modeled=False`` runs ``t`` counted
-    binomial-tree reductions instead.
+    contribution size.
+
+    A contributor that dies before contributing is skipped; one that is
+    alive but never contributes leaves the root raising
+    :class:`~repro.machine.errors.DeadlockError`.
     """
     roots = sorted(contributions)
     t = len(roots)
     if t == 0:
         return None
-    if not modeled:
-        result = None
-        for i, root in enumerate(roots):
-            r = reduce(comm, contributions[root], op=op, root=root, tag=tag + 3 * i)
-            if comm.rank == root:
-                result = r
-        return result
-
-    from repro.machine.errors import PeerDead
-
     total_words = sum(
         payload_words(contributions[r], comm.word_bits) for r in roots
     )
@@ -433,7 +369,6 @@ def t_broadcast(
     comm: Any,
     values: dict[int, Any],
     tag: int = TAG_T_BROADCAST,
-    modeled: bool = True,
 ) -> dict[int, Any]:
     """``t`` simultaneous broadcasts (Corollary 2.6).
 
@@ -447,12 +382,6 @@ def t_broadcast(
     t = len(roots)
     if t == 0:
         return {}
-    if not modeled:
-        return {
-            root: broadcast(comm, values[root], root=root, tag=tag + 2 * i)
-            for i, root in enumerate(roots)
-        }
-
     out: dict[int, Any] = {}
     total_words = 0
     for i, root in enumerate(roots):

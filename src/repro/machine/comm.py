@@ -31,11 +31,8 @@ from repro.machine.network import Message, Router
 from repro.machine.record import ScheduleRecorder
 from repro.machine.sizes import payload_words
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.util.env import poll_interval
 
 __all__ = ["Communicator", "SubCommunicator"]
-
-_POLL_INTERVAL = poll_interval()
 
 
 class _SharedState:
@@ -63,12 +60,12 @@ class _SharedState:
         #: Communication-schedule recorder (commcheck extraction); None
         #: outside extraction runs, and purely observational when set.
         self.recorder = recorder
-        #: Cooperative scheduler
-        #: (:class:`~repro.machine.engines.event.EventEngine`); installed
-        #: by the engine for the duration of its run.  Blocking calls park
-        #: on it and posts/deaths issue deterministic wakes
-        #: (docs/MACHINE.md "Scheduler").  None outside a simulator run:
-        #: the process backend's rank-side state polls instead.
+        #: Where blocking calls park and posts/deaths issue wakes: the
+        #: cooperative :class:`~repro.machine.engines.event.EventEngine`
+        #: for the duration of a simulator run (docs/MACHINE.md
+        #: "Scheduler"), or the process backend's
+        #: :class:`~repro.machine.backends.rankproc.RankWaiter` in a rank
+        #: process.  None outside a run.
         self.scheduler: Any = None
         self.topology = topology or FullyConnected(size)
         self.router = router
@@ -168,9 +165,7 @@ class Communicator:
         here keeps those loops live without charging any cost or touching
         a fault point — detector reads are free in the model.
         """
-        scheduler = self._state.scheduler
-        if scheduler is not None:
-            scheduler.yield_turn(self.rank)
+        self._state.scheduler.yield_turn(self.rank)
 
     def agree_dead(self, key: Any, candidates: Sequence[int]) -> frozenset:
         """Consistent failure snapshot (ULFM-style agreement).
@@ -275,11 +270,9 @@ class Communicator:
         that task."""
         with self._state.lock:
             self._state.aborted_task[self.rank] = task
-        scheduler = self._state.scheduler
-        if scheduler is not None:
-            # Receivers using abort_check fail over on withdrawal exactly
-            # like on death: wake them to re-check.
-            scheduler.on_liveness_change()
+        # Receivers using abort_check fail over on withdrawal exactly like
+        # on death: wake them to re-check.
+        self._state.scheduler.on_liveness_change()
         recorder = self._state.recorder
         if recorder is not None:
             recorder.on_abort(
@@ -389,10 +382,8 @@ class Communicator:
         state = self._state
         with state.lock:
             state.alive[self.rank] = False
-        scheduler = state.scheduler
-        if scheduler is not None:
-            # Receivers parked on this rank must re-check and fail over.
-            scheduler.on_liveness_change()
+        # Receivers parked on this rank must re-check and fail over.
+        state.scheduler.on_liveness_change()
         phase = self.current_phase
         state.fault_log.record(
             self.rank, phase, op_index, self.incarnation, kind="hard"
@@ -477,19 +468,24 @@ class Communicator:
                 self.rank, self.current_phase, self.clock.snapshot(),
                 self.incarnation, dest, tag, nwords, hops,
             )
+        self._post(dest, payload, tag, nwords)
+
+    def _post(self, dest: int, payload: Any, tag: int, words: int) -> None:
+        """Deposit a message stamped with this rank's clock and
+        incarnation, and wake ``dest`` if it is parked on it (shared by
+        :meth:`send` and the modeled collective transport)."""
         msg = Message(
             source=self.rank,
             dest=dest,
             tag=tag,
             payload=payload,
-            words=nwords,
+            words=words,
             clock=self.clock.snapshot(),
             incarnation=self.incarnation,
         )
-        self._state.router.post(msg)
-        scheduler = self._state.scheduler
-        if scheduler is not None:
-            scheduler.on_post(msg)
+        state = self._state
+        state.router.post(msg)
+        state.scheduler.on_post(msg)
 
     def recv(
         self,
@@ -538,85 +534,55 @@ class Communicator:
         raw: bool = False,
         modeled: bool = False,
     ) -> Message:
-        """Shared physical-delivery loop behind :meth:`recv`,
-        :meth:`recv_raw` and the modeled collective transports: poll the
-        router for a match, failing over to :class:`PeerDead` when the
-        source can post no further messages.  Every delivered message
-        passes through here exactly once, which is where the schedule
-        recorder observes receives."""
+        """The receive loop behind :meth:`recv`, :meth:`recv_raw` and the
+        modeled collective transport: take a match from the router, else
+        fail over to :class:`PeerDead` when the source can post no
+        further messages, else park on the scheduler and re-check.
+
+        A wake means "re-check"; a False verdict from the park means the
+        wait ran out (quiescence in the simulator, the wall clock in a
+        rank process) and raises :class:`DeadlockError`.  ``modeled``
+        transport fails over only when the source dies — a finished or
+        withdrawn contributor that never sent is a deadlock, not a
+        skipped summand — and is recorded with no hops.  Every delivered
+        message passes through here exactly once, which is where the
+        schedule recorder observes receives."""
         if source == self.rank:
             raise CommError(f"rank {self.rank} attempted a self-receive")
         state = self._state
         limit = state.timeout if timeout is None else timeout
-        scheduler = state.scheduler
-        msg: Message | None = None
-        if scheduler is not None:
-            # Simulator: non-blocking poll, then park on the scheduler.
-            # Nothing can change between a failed poll and the park (only
-            # this rank is running), so the check-then-park is atomic; a
-            # wake means "re-check", a False verdict means the machine
-            # quiesced with this rank the most impatient waiter.
-            while msg is None:
-                try:
-                    msg = state.router.collect(self.rank, source, tag, timeout=0.0)
-                except DeadlockError:
-                    with state.lock:
-                        source_gone = (
-                            not state.alive[source]
-                            or state.finished[source]
-                            or (
-                                abort_check is not None
-                                and state.aborted_task[source] == abort_check
-                            )
-                        )
-                    if source_gone:
-                        raise PeerDead(source) from None
-                    if not scheduler.block_recv(self.rank, source, tag, limit):
-                        raise DeadlockError(
-                            f"rank {self.rank}: no message from {source} tag {tag} "
-                            f"after {limit:.1f}s"
-                        ) from None
-        # Process backend (no scheduler): poll the socket-fed router on
-        # the wall clock, failing over exactly like the scheduled path.
-        waited = 0.0
+        take = state.router.take
+        msg = take(self.rank, source, tag)
         while msg is None:
-            try:
-                msg = state.router.collect(
-                    self.rank, source, tag, timeout=_POLL_INTERVAL
-                )
-            except DeadlockError:
-                waited += _POLL_INTERVAL
-                with state.lock:
-                    source_gone = (
-                        not state.alive[source]
-                        or state.finished[source]
-                        or (
-                            abort_check is not None
-                            and state.aborted_task[source] == abort_check
-                        )
+            with state.lock:
+                source_gone = not state.alive[source] or (
+                    not modeled
+                    and (
+                        state.finished[source]
+                        or state.aborted_task[source] == abort_check
                     )
-                if source_gone:
-                    # The source can post no further messages, but its
-                    # final send may have landed between our failed poll
-                    # and the flag check (sends happen-before the flags
-                    # are set): drain once more before failing over.
-                    try:
-                        msg = state.router.collect(
-                            self.rank, source, tag, timeout=0.0
-                        )
-                    except DeadlockError:
-                        raise PeerDead(source) from None
-                elif waited >= limit:
-                    raise DeadlockError(
-                        f"rank {self.rank}: no message from {source} tag {tag} "
-                        f"after {limit:.1f}s"
-                    ) from None
+                )
+            if source_gone:
+                # The source can post no further messages, but in a rank
+                # process its final send may have landed between the
+                # failed take and the flag check (sends happen-before the
+                # flags are set): drain once more before failing over.
+                msg = take(self.rank, source, tag)
+                if msg is None:
+                    raise PeerDead(source)
+                break
+            if not state.scheduler.block_recv(self.rank, source, tag, limit):
+                raise DeadlockError(
+                    f"rank {self.rank}: no message from {source} tag {tag} "
+                    f"after {limit:.1f}s"
+                )
+            msg = take(self.rank, source, tag)
         recorder = state.recorder
         if recorder is not None:
+            hops = 0 if modeled else state.topology.hops(msg.source, self.rank)
             recorder.on_recv(
                 self.rank, self.current_phase, msg.source, msg.tag, msg.words,
-                state.topology.hops(msg.source, self.rank), self.incarnation,
-                modeled=modeled, raw=raw,
+                hops, self.incarnation, modeled=modeled, raw=raw,
             )
         return msg
 

@@ -204,7 +204,7 @@ class Machine:
             return ProcBackend(self).run(
                 program, args, rank_args, raise_on_error
             )
-        router = Router(self.size, default_timeout=self.timeout)
+        router = Router(self.size)
         memories = [
             LocalMemory(self.memory_words, rank=r) for r in range(self.size)
         ]

@@ -1,9 +1,10 @@
 """Peer-to-peer message transport.
 
 A :class:`Router` holds one mailbox per destination rank.  Messages are
-matched MPI-style by ``(source, tag)``; receives block on a condition
-variable with a (generous) timeout so that protocol bugs surface as
-:class:`~repro.machine.errors.DeadlockError` instead of hangs.
+matched MPI-style by ``(source, tag)``; :meth:`Router.take` never
+blocks — it returns ``None`` when nothing matches, and the receiving
+:class:`~repro.machine.comm.Communicator` parks on its scheduler until a
+post or liveness change makes a re-check worthwhile.
 
 Messages carry the sender's :class:`~repro.machine.costs.Counts` clock
 snapshot (for critical-path accounting), the payload's size in words, and
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.machine.costs import Counts
-from repro.machine.errors import CommError, DeadlockError
+from repro.machine.errors import CommError
 
 __all__ = ["Message", "Router"]
 
@@ -38,13 +39,15 @@ class Message:
 class Router:
     """Mailboxes for ``size`` ranks with (source, tag) matching."""
 
-    def __init__(self, size: int, default_timeout: float = 60.0):
+    def __init__(self, size: int):
         if size <= 0:
             raise ValueError("size must be positive")
         self.size = size
-        self.default_timeout = default_timeout
-        self._locks = [threading.Condition() for _ in range(size)]
-        self._queues: list[list[Message]] = [[] for _ in range(size)]  # guarded-by: _locks
+        # One lock for every mailbox: the simulator runs one rank at a
+        # time, and the process backend's socket thread posts into the
+        # only mailbox its rank process reads.
+        self._lock = threading.Lock()
+        self._queues: list[list[Message]] = [[] for _ in range(size)]  # guarded-by: _lock
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.size):
@@ -54,61 +57,26 @@ class Router:
         """Deposit a message in the destination's mailbox."""
         self._check_rank(msg.dest)
         self._check_rank(msg.source)
-        cond = self._locks[msg.dest]
-        with cond:
+        with self._lock:
             self._queues[msg.dest].append(msg)
-            cond.notify_all()
 
-    def collect(
-        self,
-        dest: int,
-        source: int,
-        tag: int,
-        timeout: float | None = None,
-    ) -> Message:
-        """Blocking matched receive for rank ``dest``.
-
-        Raises :class:`DeadlockError` when no matching message arrives
-        within the timeout.
-        """
+    def take(self, dest: int, source: int, tag: int) -> Message | None:
+        """Remove and return the oldest message for ``dest`` from
+        ``source`` with ``tag``, or ``None`` if none is queued."""
         self._check_rank(dest)
         self._check_rank(source)
-        if timeout is None:
-            timeout = self.default_timeout
-        cond = self._locks[dest]
-        with cond:
-            deadline = None
-            while True:
-                queue = self._queues[dest]
-                for i, msg in enumerate(queue):
-                    if msg.source == source and msg.tag == tag:
-                        return queue.pop(i)
-                # Wall-clock is confined to the receive *timeout*: it bounds
-                # how long a real thread may block before the run is declared
-                # deadlocked (a stuck peer never advances virtual time, so no
-                # virtual clock can detect it).  Delivery order and all
-                # charged costs are independent of these readings.
-                if deadline is None:
-                    import time
-
-                    deadline = time.monotonic() + timeout  # repro-lint: disable=DET001
-                    remaining = timeout
-                else:
-                    import time
-
-                    remaining = deadline - time.monotonic()  # repro-lint: disable=DET001
-                if remaining <= 0 or not cond.wait(timeout=remaining):
-                    raise DeadlockError(
-                        f"rank {dest}: no message from rank {source} with tag "
-                        f"{tag} after {timeout:.1f}s"
-                    )
+        with self._lock:
+            queue = self._queues[dest]
+            for i, msg in enumerate(queue):
+                if msg.source == source and msg.tag == tag:
+                    return queue.pop(i)
+        return None
 
     def purge(self, rank: int) -> int:
         """Discard every pending message for ``rank`` (fault data loss).
         Returns the number of dropped messages."""
         self._check_rank(rank)
-        cond = self._locks[rank]
-        with cond:
+        with self._lock:
             dropped = len(self._queues[rank])
             self._queues[rank].clear()
         return dropped
@@ -116,5 +84,5 @@ class Router:
     def pending(self, rank: int) -> int:
         """Number of queued messages for ``rank`` (for tests/diagnostics)."""
         self._check_rank(rank)
-        with self._locks[rank]:
+        with self._lock:
             return len(self._queues[rank])

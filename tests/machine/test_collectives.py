@@ -6,7 +6,9 @@ import pytest
 
 from repro.machine import collectives as coll
 from repro.machine.engine import Machine
-from repro.machine.errors import MachineError
+from repro.machine.errors import DeadlockError, HardFault, MachineError
+from repro.machine.fault import FaultEvent, FaultSchedule
+from repro.machine.tags import TAG_T_REDUCE
 
 
 def run(size, program, **kw):
@@ -141,13 +143,12 @@ class TestSubcommCollectives:
 
 
 class TestTReduce:
-    @pytest.mark.parametrize("modeled", [True, False])
-    def test_values_correct(self, modeled):
+    def test_values_correct(self):
         def program(comm):
             # Two simultaneous reductions, rooted at 0 and 2; rank r
             # contributes r+1 to the first and 10*(r+1) to the second.
             contributions = {0: comm.rank + 1, 2: 10 * (comm.rank + 1)}
-            return coll.t_reduce(comm, contributions, modeled=modeled)
+            return coll.t_reduce(comm, contributions)
 
         res = run(4, program)
         assert res.results[0] == 10
@@ -175,24 +176,51 @@ class TestTReduce:
             assert c.bw == t * W
             assert c.l == logp + t
 
-    def test_counted_mode_charges_real_messages(self):
-        def program(comm):
-            coll.t_reduce(comm, {0: [1] * 10}, modeled=False)
+    def test_contributor_killed_before_contributing_is_skipped(self):
+        # Rank 2's first machine op is its contribution's send: the
+        # fault kills it before it contributes, and the root sums the
+        # survivors (1 + 2 + 4).
+        schedule = FaultSchedule([FaultEvent(rank=2, phase="*", op_index=0)])
 
-        res = run(4, program)
-        assert res.critical_path.bw > 0
-        assert res.critical_path.l >= 2  # tree depth of 4 ranks
+        def program(comm):
+            try:
+                return coll.t_reduce(comm, {0: comm.rank + 1})
+            except HardFault:
+                return "killed"
+
+        res = run(4, program, fault_schedule=schedule)
+        assert res.results == [7, None, "killed", None]
+        assert [(e.rank, e.kind) for e in res.fault_log.entries] == [(2, "hard")]
+
+    def test_finished_contributor_is_a_deadlock_not_skipped(self):
+        # A contributor that returns without contributing is alive: the
+        # modeled transport fails over on death only, so the root waits
+        # it out and names it, with the machine's (scaled) timeout.
+        machine = Machine(3, timeout=5.0)
+
+        def program(comm):
+            if comm.rank == 2:
+                return None
+            return coll.t_reduce(comm, {0: comm.rank + 1})
+
+        res = machine.run(program, raise_on_error=False)
+        assert sorted(res.errors) == [0]
+        error = res.errors[0]
+        assert isinstance(error, DeadlockError)
+        assert str(error) == (
+            f"rank 0: no message from 2 tag {TAG_T_REDUCE} "
+            f"after {machine.timeout:.1f}s"
+        )
 
 
 class TestTBroadcast:
-    @pytest.mark.parametrize("modeled", [True, False])
-    def test_values_correct(self, modeled):
+    def test_values_correct(self):
         def program(comm):
             values = {
                 0: "from0" if comm.rank == 0 else None,
                 3: "from3" if comm.rank == 3 else None,
             }
-            return coll.t_broadcast(comm, values, modeled=modeled)
+            return coll.t_broadcast(comm, values)
 
         res = run(4, program)
         for r in range(4):

@@ -17,14 +17,19 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.machine.backends import live_children
 from repro.machine.backends import wire
+from repro.machine.backends.rankproc import RankWaiter
+from repro.machine.costs import Counts
 from repro.machine.engine import Machine
-from repro.machine.errors import MachineError, PeerDead
+from repro.machine.errors import DeadlockError, MachineError, PeerDead
+from repro.machine.network import Message, Router
 
 pytestmark = pytest.mark.usefixtures("no_orphans")
 
@@ -95,6 +100,48 @@ def _all_to_all(comm):
         if dest != comm.rank:
             comm.send(dest, comm.rank, tag=41)
     return [comm.recv(src, tag=41) for src in range(comm.size) if src != comm.rank]
+
+
+def _ping_pong(comm, rounds):
+    """Rank 0 sends a counter, rank 1 sends it back incremented."""
+    peer = 1 - comm.rank
+    value = 0
+    for _ in range(rounds):
+        if comm.rank == 0:
+            comm.send(peer, value, tag=3)
+            value = comm.recv(peer, tag=3)
+        else:
+            value = comm.recv(peer, tag=3) + 1
+            comm.send(peer, value, tag=3)
+    return value
+
+
+def _short_and_long_waits(comm):
+    """Neither rank ever sends: rank 1's 1 s receive gives up first, and
+    its death must release rank 0 long before rank 0's own 60 s limit."""
+    if comm.rank == 1:
+        return comm.recv(0, tag=5, timeout=1.0)
+    return comm.recv(1, tag=9, timeout=60.0)
+
+
+def _second_receive_wait(comm):
+    """Rank 1's first receive parks ~0.6 s before it matches; its second
+    never matches and must still get its whole 1 s limit."""
+    if comm.rank == 0:
+        time.sleep(0.6)
+        comm.send(1, "first", tag=4)
+        try:
+            comm.recv(1, tag=9, timeout=60.0)
+        except PeerDead:
+            return "released"
+        return "unexpected-message"
+    first = comm.recv(0, tag=4, timeout=1.0)
+    started = time.monotonic()
+    try:
+        comm.recv(0, tag=5, timeout=1.0)
+    except DeadlockError:
+        return first, time.monotonic() - started
+    return "unexpected-message"
 
 
 def _exit_uncleanly(comm):
@@ -198,6 +245,96 @@ class TestFaultFreeParity:
         assert proc.critical_path == sim.critical_path
         assert proc.phase_costs == sim.phase_costs
         assert proc.peak_memory == sim.peak_memory
+
+
+class TestRankWaiter:
+    """Receives park on the rank process's one waiter: every wake must
+    reach the program thread, and every receive gets its own limit."""
+
+    def test_ping_pong_matches_simulator(self):
+        runs = {}
+        for name in ("sim", "proc"):
+            machine = Machine(2, timeout=5.0, backend=name)
+            started = time.monotonic()
+            runs[name] = res = machine.run(_ping_pong, args=(200,))
+            # A wake lost between a failed take and the park stalls that
+            # receive for its whole limit.
+            assert time.monotonic() - started < machine.timeout, name
+            assert res.results == [200, 200]
+            assert [str(c) for c in res.per_rank] == [
+                "F=0 BW=800 L=800",
+                "F=0 BW=799 L=799",
+            ]
+        assert runs["proc"].per_rank == runs["sim"].per_rank
+
+    def test_wake_before_park_is_not_lost(self):
+        # The delivery lands after the failed take but before the park:
+        # the park must return at once, not wait out its 60 s limit.
+        waiter = RankWaiter()
+        waiter.begin()
+        waiter.wake()
+        started = time.monotonic()
+        assert waiter.block_recv(0, 1, 0, 60.0)
+        assert time.monotonic() - started < 5.0
+
+    def test_handoffs_under_thread_switching_lose_no_wake(self):
+        # One thread posts and wakes the way the receiver thread does,
+        # each post racing the consumer's take-then-park; a tiny switch
+        # interval lands wakes inside that window.  A lost wake stalls a
+        # park for its whole limit.
+        router, waiter, turn = Router(2), RankWaiter(), threading.Semaphore(0)
+        handoffs, limit = 2000, 10.0
+
+        def produce():
+            for i in range(handoffs):
+                turn.acquire()
+                router.post(Message(1, 0, 0, i, 1, Counts(), 0))
+                waiter.wake()
+
+        producer = threading.Thread(target=produce)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        started = time.monotonic()
+        try:
+            producer.start()
+            got = []
+            for _ in range(handoffs):
+                waiter.begin()
+                turn.release()
+                msg = router.take(0, 1, 0)
+                while msg is None:
+                    assert waiter.block_recv(0, 1, 0, limit)
+                    msg = router.take(0, 1, 0)
+                got.append(msg.payload)
+        finally:
+            sys.setswitchinterval(interval)
+            turn.release(handoffs)
+            producer.join(timeout=limit)
+        assert not producer.is_alive()
+        assert got == list(range(handoffs))
+        assert time.monotonic() - started < limit
+
+    def test_short_receive_limit_releases_long_waiter(self):
+        for name in ("sim", "proc"):
+            started = time.monotonic()
+            res = Machine(2, timeout=5.0, backend=name).run(
+                _short_and_long_waits, raise_on_error=False
+            )
+            elapsed = time.monotonic() - started
+            assert sorted(res.errors) == [0, 1], name
+            assert isinstance(res.errors[1], DeadlockError), name
+            assert str(res.errors[1]) == "rank 1: no message from 0 tag 5 after 1.0s"
+            assert isinstance(res.errors[0], PeerDead), name
+            assert res.errors[0].peer == 1
+            # Rank 0 failed over on rank 1's death, not on its own limit.
+            assert elapsed < 30.0, name
+
+    def test_limit_restarts_for_each_receive(self):
+        res = Machine(2, timeout=5.0, backend="proc").run(_second_receive_wait)
+        assert res.results[0] == "released"
+        first, waited = res.results[1]
+        assert first == "first"
+        assert waited >= 0.95
 
 
 # ------------------------------------------------------------------ guards
