@@ -71,13 +71,11 @@ class VariantSpec:
     they only stretch virtual time).  ``budget_rule`` optionally replaces
     the default counting rule (the soft variant's MDS constraint).
 
-    ``execute(workload, schedule, cfg, trace=None, recorder=None)`` runs
-    one trial; the optional ``trace`` is a
-    :class:`~repro.obs.tracer.Tracer` the forensic re-run of a minimized
-    failure passes in, and ``recorder`` a
-    :class:`~repro.machine.record.ScheduleRecorder` the ``commcheck``
-    extractor uses to capture the communication graph (built-in variants
-    support it; custom variants may omit the parameter).
+    ``execute(workload, schedule, cfg, trace=None)`` runs one trial; the
+    optional ``trace`` is a :class:`~repro.obs.tracer.Tracer` — the
+    forensic re-run of a minimized failure passes a recording one, and
+    the ``commcheck`` extractor and faultcheck's schedule prover a
+    :class:`~repro.machine.record.ScheduleRecorder`.
     """
 
     name: str
@@ -186,7 +184,6 @@ def _multiply_variant(
         schedule: FaultSchedule,
         cfg: Any,
         trace: Any = None,
-        recorder: Any = None,
     ) -> Execution:
         a, b = workload
         try:
@@ -195,8 +192,6 @@ def _multiply_variant(
             return Execution(actual=None, expected=a * b, error=exc, fired=())
         if trace is not None:
             algo.trace = trace
-        if recorder is not None:
-            algo.recorder = recorder
         return _multiply_execution(algo, a, b, schedule)
 
     return register_variant(
@@ -460,7 +455,6 @@ def _ft_linear_spec() -> VariantSpec:
         schedule: FaultSchedule,
         cfg: Any,
         trace: Any = None,
-        recorder: Any = None,
     ) -> Execution:
         from repro.core.ft_linear import ColumnCode
         from repro.machine.engine import Machine
@@ -479,7 +473,6 @@ def _ft_linear_spec() -> VariantSpec:
             fault_schedule=schedule,
             timeout=cfg.timeout,
             trace=trace,
-            recorder=recorder,
         )
         rank_args = [(w,) for w in workload] + [(None,)] * f
         try:

@@ -19,7 +19,7 @@ fan out across worker processes (``run_campaign(cfg, jobs=N)``, CLI
 per-variant code against the same derived seeds, reports come back in
 registry order, and worker metrics are folded into the campaign registry
 variant by variant, so ``--jobs 4`` output is byte-identical to
-``--jobs 1``.  ``jobs=1`` does not construct a pool at all — it is the
+``--jobs 1``.  At ``jobs=1`` the pool starts no process — it is the
 exact serial code path.  Pool-level host metrics (task durations,
 retries) are wall-clock and therefore deliberately kept out of the
 report; pass ``pool_metrics=`` to collect them.
@@ -344,7 +344,7 @@ def run_campaign(
     """Run the campaign over ``cfg.variants`` (default: all registered).
 
     ``jobs`` fans the variants out over that many worker processes
-    (``1`` = the exact serial path, no pool).  The report is
+    (``1`` = the pool's exact serial path, no process).  The report is
     byte-identical either way; a worker crash or abandoned variant
     surfaces as a loud :class:`~repro.parallel.WorkerPoolError`, never a
     silently missing variant.  ``pool_metrics`` optionally receives the
@@ -358,15 +358,10 @@ def run_campaign(
         if cfg.variants
         else [s.name for s in registered_variants()]
     )
-    metrics = MetricsRegistry()
-    if jobs <= 1:
-        reports = tuple(_run_variant(get_variant(n), cfg, metrics) for n in names)
-        return CampaignResult(config=cfg, variants=reports, metrics=metrics)
-
     from repro.parallel import Task, WorkerPool
 
-    pool = WorkerPool(jobs=jobs, metrics=pool_metrics)
-    outcomes = pool.run(
+    metrics = MetricsRegistry()
+    outcomes = WorkerPool(jobs=jobs, metrics=pool_metrics).run(
         [Task(fn=_run_variant_task, args=(n, cfg), key=n) for n in names]
     )
     reports = []

@@ -154,7 +154,7 @@ def extract_variant(
     scope = backend_scope(backend) if backend is not None else nullcontext()
     with scope:
         execution = spec.execute(
-            workload, FaultSchedule(), replace(cfg), recorder=recorder
+            workload, FaultSchedule(), replace(cfg), trace=recorder
         )
     if execution.error is not None:
         raise ExtractionError(

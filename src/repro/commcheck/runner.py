@@ -79,21 +79,17 @@ def run_commcheck(
     each is a full threaded-machine execution) across worker processes;
     checking and certification stay in-process.  Extraction is
     fault-free and deterministic, so the canonical graph JSON is
-    byte-identical for any ``jobs``; ``jobs=1`` is the exact serial
-    path.
+    byte-identical for any ``jobs``; the pool's ``jobs=1`` is the exact
+    serial path.
     """
+    from repro.parallel import Task, WorkerPool
+
     cfg = cfg or make_config()
     names = list(variants) if variants else list(COMMCHECK_VARIANTS)
     result = CommCheckResult(config=cfg, phase=phase)
-    if jobs <= 1:
-        extracted = [_extract_task(name, cfg) for name in names]
-    else:
-        from repro.parallel import Task, WorkerPool
-
-        pool = WorkerPool(jobs=jobs)
-        extracted = pool.run(
-            [Task(fn=_extract_task, args=(name, cfg), key=name) for name in names]
-        )
+    extracted = WorkerPool(jobs=jobs).run(
+        [Task(fn=_extract_task, args=(name, cfg), key=name) for name in names]
+    )
     for name, (graph, error) in zip(names, extracted):
         if error is not None:
             result.reports.append(

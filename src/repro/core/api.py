@@ -64,22 +64,18 @@ def multiply_parallel(
     m_words: float = math.inf,
     fault_schedule: FaultSchedule | None = None,
     trace=None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """Parallel Toom-Cook-k on ``p`` simulated processors (Section 3).
 
     ``trace`` enables the observability layer (see :mod:`repro.obs`); the
-    resulting events and metrics ride back on ``outcome.run``.
-    ``recorder`` enables schedule extraction (see :mod:`repro.commcheck`):
-    pass a :class:`~repro.machine.record.ScheduleRecorder` to capture the
-    run's communication graph.
+    resulting events and metrics ride back on ``outcome.run``; a
+    :class:`~repro.machine.record.ScheduleRecorder` passed as ``trace``
+    captures the run's communication graph (see :mod:`repro.commcheck`).
     """
     plan = _plan_for(a, b, p, k, word_bits, m_words)
     algo = ParallelToomCook(
         plan, memory_words=m_words, fault_schedule=fault_schedule, trace=trace
     )
-    if recorder is not None:
-        algo.recorder = recorder
     return algo.multiply(a, b)
 
 
@@ -93,7 +89,6 @@ def multiply_fault_tolerant(
     m_words: float = math.inf,
     fault_schedule: FaultSchedule | None = None,
     trace=None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """The combined fault-tolerant algorithm (Section 4, Theorem 5.2)."""
     plan = _plan_for(a, b, p, k, word_bits, m_words)
@@ -101,8 +96,6 @@ def multiply_fault_tolerant(
         plan, f=f, memory_words=m_words, fault_schedule=fault_schedule,
         trace=trace,
     )
-    if recorder is not None:
-        algo.recorder = recorder
     return algo.multiply(a, b)
 
 
@@ -115,15 +108,12 @@ def multiply_replicated(
     word_bits: int = 64,
     m_words: float = math.inf,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """The replication baseline (Theorem 5.3): ``f+1`` copies."""
     plan = _plan_for(a, b, p, k, word_bits, m_words)
     algo = ReplicatedToomCook(
         plan, f=f, memory_words=m_words, fault_schedule=fault_schedule
     )
-    if recorder is not None:
-        algo.recorder = recorder
     return algo.multiply(a, b)
 
 
@@ -135,13 +125,10 @@ def multiply_checkpointed(
     f: int = 1,
     word_bits: int = 64,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """The checkpoint-restart baseline (global rollback)."""
     plan = _plan_for(a, b, p, k, word_bits, math.inf)
     algo = CheckpointedToomCook(plan, f=f, fault_schedule=fault_schedule)
-    if recorder is not None:
-        algo.recorder = recorder
     return algo.multiply(a, b)
 
 
@@ -154,14 +141,11 @@ def multiply_multistep(
     f: int = 1,
     word_bits: int = 64,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """Multi-step fault-tolerant Toom-Cook (Sections 4.3/6.1): ``l``
     combined BFS steps, only ``f * P/(2k-1)**l`` code processors."""
     plan = _plan_for(a, b, p, k, word_bits, math.inf)
     algo = MultiStepToomCook(plan, l=l, f=f, fault_schedule=fault_schedule)
-    if recorder is not None:
-        algo.recorder = recorder
     return algo.multiply(a, b)
 
 
@@ -173,12 +157,9 @@ def multiply_soft_tolerant(
     f: int = 2,
     word_bits: int = 64,
     fault_schedule: FaultSchedule | None = None,
-    recorder=None,
 ) -> MultiplyOutcome:
     """Soft-fault hardened multiplication (Section 7): detects up to ``f``
     and corrects up to ``floor(f/2)`` silent miscalculations."""
     plan = _plan_for(a, b, p, k, word_bits, math.inf)
     algo = SoftTolerantToomCook(plan, f=f, fault_schedule=fault_schedule)
-    if recorder is not None:
-        algo.recorder = recorder
     return algo.multiply(a, b)

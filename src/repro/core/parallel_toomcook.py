@@ -81,10 +81,6 @@ class ParallelToomCook:
     #: Default for subclasses whose __init__ predates the trace parameter;
     #: callers can also set ``algo.trace = tracer`` after construction.
     trace = None
-    #: Schedule-extraction mode (commcheck): set ``algo.recorder`` to a
-    #: :class:`~repro.machine.record.ScheduleRecorder` before ``multiply``
-    #: and the run's communication graph is captured without altering it.
-    recorder = None
 
     def __init__(
         self,
@@ -124,7 +120,6 @@ class ParallelToomCook:
             timeout=self.timeout,
             topology=self.topology,
             trace=self.trace,
-            recorder=self.recorder,
         )
 
     # -- public ---------------------------------------------------------------

@@ -148,30 +148,23 @@ def run_faultcheck(
     ``jobs`` fans the per-variant pipelines (dozens of machine replays
     each) across worker processes; every prover is seeded and replayed
     deterministically, so the certificate is byte-identical for any
-    ``jobs``.  ``jobs=1`` is the exact serial path.
+    ``jobs``.  The pool's ``jobs=1`` is the exact serial path.
     """
+    from repro.parallel import Task, WorkerPool
+
     cfg = cfg or make_config()
     names = list(variants) if variants else list(FAULTCHECK_VARIANTS)
     result = FaultCheckResult(config=cfg, coverage_trials=coverage_trials)
-    if jobs <= 1:
-        certs = [
-            _variant_task(name, cfg, coverage_trials, tolerance_scale)
+    certs = WorkerPool(jobs=jobs).run(
+        [
+            Task(
+                fn=_variant_task,
+                args=(name, cfg, coverage_trials, tolerance_scale),
+                key=name,
+            )
             for name in names
         ]
-    else:
-        from repro.parallel import Task, WorkerPool
-
-        pool = WorkerPool(jobs=jobs)
-        certs = pool.run(
-            [
-                Task(
-                    fn=_variant_task,
-                    args=(name, cfg, coverage_trials, tolerance_scale),
-                    key=name,
-                )
-                for name in names
-            ]
-        )
+    )
     result.certificates = list(certs)
     return result
 

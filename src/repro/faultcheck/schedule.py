@@ -221,7 +221,7 @@ def replay_class_representative(
     recorder = ScheduleRecorder()
     event = point.event()
     execution = spec.execute(
-        workload, FaultSchedule([event]), replace(cfg), recorder=recorder
+        workload, FaultSchedule([event]), replace(cfg), trace=recorder
     )
     budget = spec.budget([event], cfg)
     verdict = classify(execution, budget)

@@ -3,7 +3,7 @@
 Shared mutable fields are declared with a trailing ``# guarded-by:
 <lock>`` comment on their assignment inside the owning class::
 
-    class _SharedState:
+    class Consensus:
         def __init__(self, ...):
             self.lock = threading.Lock()
             self.alive = [True] * size  # guarded-by: lock

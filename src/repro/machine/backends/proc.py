@@ -12,10 +12,11 @@ Responsibilities, in the order they matter:
   *j*'s socket under a per-destination write lock.  TCP FIFO per socket
   plus one reader thread per source gives the same per-channel ordering
   guarantee the simulator's router provides.
-- **Consistency**: votes, gates, failure agreement, incarnations and
-  liveness live here; ranks reach them via ``CONTROL`` round-trips, so
-  "first caller snapshots the detector" means first *frame processed*,
-  a total order, exactly like the simulator's lock.
+- **Consistency**: the machine's :class:`~repro.machine.comm.Consensus`
+  (votes, gates, failure agreement, incarnations and liveness) lives
+  here; ranks reach it via ``CONTROL`` round-trips, so "first caller
+  snapshots the detector" means first *frame processed*, a total order,
+  exactly like the simulator's lock.
 - **Watchdog**: a rank is declared dead on socket EOF or process exit
   (authoritative) or after ``20 * REPRO_HEARTBEAT * REPRO_TIMEOUT_SCALE``
   of silence (wedged — it is then killed so EOF follows).  Death is
@@ -45,6 +46,7 @@ from typing import Any
 
 from repro.machine.backends import wire
 from repro.machine.backends.rankproc import RankConfig, rank_main
+from repro.machine.comm import Consensus
 from repro.machine.costs import Counts, PhaseLedger
 from repro.machine.engine import (
     RunResult,
@@ -53,6 +55,7 @@ from repro.machine.engine import (
 )
 from repro.machine.errors import HardFault, MachineError
 from repro.machine.fault import FaultLog
+from repro.machine.record import ScheduleRecorder
 from repro.parallel import spawn_process
 from repro.util.env import (
     heartbeat_interval,
@@ -63,6 +66,11 @@ from repro.util.env import (
 )
 
 __all__ = ["ProcBackend", "live_children"]
+
+#: The :class:`Consensus` methods a rank calls by ``CONTROL``.
+_CONTROLS = frozenset(
+    ("agree_dead", "vote", "poll_votes", "arrive", "gate_pending", "die", "replace", "abort")
+)
 
 #: Every child this module ever spawned and has not yet reaped.  The CI
 #: backend-conformance job (and the teardown tests) assert this is empty
@@ -112,10 +120,6 @@ class _RankSlot:
         self.conn: socket.socket | None = None
         self.wlock = threading.Lock()
         self.last_seen = 0.0
-        self.alive = True
-        self.finished = False
-        self.aborted = -1
-        self.incarnation = 0
         self.censuses: list[dict[str, Any]] = []
         self.result: Any = None
         self.error: BaseException | None = None
@@ -132,9 +136,8 @@ class ProcBackend:
         self.fault_mode = proc_fault_mode()
         self.lock = threading.Lock()
         self.slots = [_RankSlot(r) for r in range(machine.size)]
-        self.gates: dict[Any, set[int]] = {}  # guarded-by: lock
-        self.votes: dict[Any, dict[int, bool]] = {}  # guarded-by: lock
-        self.agreed_dead: dict[Any, frozenset] = {}  # guarded-by: lock
+        #: The agreement authority every rank reaches by ``CONTROL``.
+        self.consensus = Consensus(machine.size)
         self.listener: socket.socket | None = None
         self.port = 0
         self.configs: list[RankConfig] = []  # guarded-by: lock
@@ -151,7 +154,9 @@ class ProcBackend:
         raise_on_error: bool,
     ) -> RunResult:
         machine = self.machine
-        if machine.tracer.enabled:
+        if machine.tracer.enabled and not isinstance(
+            machine.tracer, ScheduleRecorder
+        ):
             raise MachineError(
                 "tracing is not supported on the proc backend; "
                 "run with backend='sim' to trace"
@@ -208,7 +213,7 @@ class ProcBackend:
             topology=machine.topology,
             fault_schedule=machine.fault_schedule,
             fault_mode=self.fault_mode,
-            record=machine.recorder is not None,
+            record=isinstance(machine.tracer, ScheduleRecorder),
             program=program,
             prog_args=tuple(rank_args[rank]) if rank_args is not None else tuple(args),
         )
@@ -276,7 +281,6 @@ class ProcBackend:
                 return
             rank, incarnation = payload
             slot = self.slots[rank]
-            respawn = False
             # The write lock spans publishing the connection and writing
             # a replacement's GO: a peer forwarding to this rank in
             # between would otherwise reach it before its GO.
@@ -284,20 +288,16 @@ class ProcBackend:
                 with self.lock:
                     slot.conn = conn
                     slot.last_seen = time.monotonic()
-                    if incarnation > 0:
-                        # A replacement process coming up: it was spawned
-                        # at this incarnation, make the machine state
-                        # agree.
-                        slot.incarnation = incarnation
-                        slot.alive = True
-                        respawn = True
-                if respawn:
-                    # The snapshot already carries the bumped incarnation,
-                    # and the broadcast echo to the new rank re-applies it
+                if incarnation > 0:
+                    # A replacement process coming up, spawned at the
+                    # rank's next incarnation: make the machine state
+                    # agree.  The snapshot already carries the bump, and
+                    # the broadcast echo to the new rank re-applies it
                     # idempotently.
+                    self.consensus.replace(rank)
                     self._write_locked(slot, wire.GO, self._snapshot())
-            if respawn:
-                self._broadcast("replacement", rank, slot.incarnation)
+            if incarnation > 0:
+                self._broadcast("replacement", rank, incarnation)
             self._connected.release()
             while True:
                 kind, payload = wire.recv_frame(conn)
@@ -368,12 +368,13 @@ class ProcBackend:
             self._send_to(slot, wire.EVENT, (op, rank, value))
 
     def _snapshot(self) -> dict[str, Any]:
-        with self.lock:
+        consensus = self.consensus
+        with consensus.lock:
             return {
-                "alive": [s.alive for s in self.slots],
-                "finished": [s.finished for s in self.slots],
-                "aborted": [s.aborted for s in self.slots],
-                "incarnations": [s.incarnation for s in self.slots],
+                "alive": list(consensus.alive),
+                "finished": list(consensus.finished),
+                "aborted": list(consensus.aborted_task),
+                "incarnations": list(consensus.incarnations),
             }
 
     # -------------------------------------------------------------- controls
@@ -383,66 +384,26 @@ class ProcBackend:
         self._send_to(slot, wire.CONTROL_REPLY, (seq, value))
 
     def _control(self, slot: _RankSlot, op: str, args: tuple) -> Any:
-        if op == "vote":
-            key, rank, value = args
-            with self.lock:
-                self.votes.setdefault(key, {})[rank] = value
-            return None
-        if op == "poll_votes":
-            (key,) = args
-            with self.lock:
-                return dict(self.votes.get(key, {}))
-        if op == "gate_arrive":
-            key, rank = args
-            with self.lock:
-                self.gates.setdefault(key, set()).add(rank)
-            return None
-        if op == "gate_poll":
-            key, participants = args
-            with self.lock:
-                arrived = self.gates.get(key, set())
-                return all(
-                    (p in arrived) or not self.slots[p].alive
-                    for p in participants
-                )
-        if op == "agree_dead":
-            key, candidates = args
-            with self.lock:
-                if key not in self.agreed_dead:
-                    self.agreed_dead[key] = frozenset(
-                        r for r in candidates if not self.slots[r].alive
-                    )
-                return self.agreed_dead[key]
-        if op == "die":
-            (rank,) = args
-            with self.lock:
-                self.slots[rank].alive = False
-            self._broadcast("dead", rank, self.slots[rank].incarnation)
-            return None
-        if op == "replacement":
-            (rank,) = args
-            with self.lock:
-                target = self.slots[rank]
-                target.incarnation += 1
-                target.alive = True
-                inc = target.incarnation
-            self._broadcast("replacement", rank, inc)
-            return inc
-        if op == "abort":
-            rank, task = args
-            with self.lock:
-                self.slots[rank].aborted = task
-            self._broadcast("abort", rank, task)
-            return None
+        """Dispatch a rank's control to the :class:`Consensus`, then
+        broadcast any liveness change it made."""
         if op == "purge":
-            (rank,) = args
             # The FIFO cut: the marker goes down the purging rank's own
             # socket *before* this control's reply (same write lock), so
             # the rank's receiver delivers everything forwarded so far,
             # purges, and only then unblocks the caller.
+            (rank,) = args
             self._send_to(self.slots[rank], wire.PURGE_DONE, None)
             return None
-        raise MachineError(f"unknown control op {op!r} from rank {slot.rank}")
+        if op not in _CONTROLS:
+            raise MachineError(f"unknown control op {op!r} from rank {slot.rank}")
+        value = getattr(self.consensus, op)(*args)
+        if op == "die":
+            self._broadcast("dead", args[0])
+        elif op == "replace":
+            self._broadcast("replacement", args[0], value)
+        elif op == "abort":
+            self._broadcast("abort", *args)
+        return value
 
     # ------------------------------------------------------------ fault path
     def _handle_fault_req(self, slot: _RankSlot, census: dict) -> None:
@@ -456,9 +417,9 @@ class ProcBackend:
         with self.lock:
             slot.censuses.append(census)
             slot.kill_requested = True
-            slot.alive = False
             proc = slot.proc
-        self._broadcast("dead", slot.rank, slot.incarnation)
+        self.consensus.die(slot.rank)
+        self._broadcast("dead", slot.rank)
         if proc is not None and proc.pid is not None:
             _kill_quietly(proc.pid)
 
@@ -468,12 +429,11 @@ class ProcBackend:
             slot.result = census.get("result")
             slot.error = census.get("error")
             slot.got_result = True
-            if slot.error is not None:
-                slot.alive = False
+        if census.get("error") is not None:
+            self.consensus.die(slot.rank)
 
     def _handle_fin(self, slot: _RankSlot) -> None:
-        with self.lock:
-            slot.finished = True
+        self.consensus.finish(slot.rank)
         self._broadcast("finished", slot.rank)
         slot.done.set()
 
@@ -491,7 +451,6 @@ class ProcBackend:
         with self.lock:
             was_killed = slot.kill_requested
             slot.kill_requested = False
-            slot.alive = False
             if was_killed and self.fault_mode == "respawn":
                 respawn = True
                 # The monitor must not mistake the killed incarnation's
@@ -509,10 +468,11 @@ class ProcBackend:
                     slot.error = MachineError(
                         f"rank {slot.rank} terminated unexpectedly"
                     )
+        self.consensus.die(slot.rank)
         if respawn:
             self._respawn(slot)
         else:
-            self._broadcast("dead", slot.rank, slot.incarnation)
+            self._broadcast("dead", slot.rank)
             slot.done.set()
 
     def _respawn(self, slot: _RankSlot) -> None:
@@ -524,7 +484,10 @@ class ProcBackend:
         """
         with self.lock:
             base = self.configs[slot.rank]
-        config = dataclasses.replace(base, incarnation=slot.incarnation + 1)
+        consensus = self.consensus
+        with consensus.lock:
+            incarnation = consensus.incarnations[slot.rank] + 1
+        config = dataclasses.replace(base, incarnation=incarnation)
         self._spawn_rank(config)
 
     # -------------------------------------------------------------- watchdog
@@ -552,12 +515,12 @@ class ProcBackend:
                     # Died before ever connecting (e.g. crash in spawn):
                     # no EOF will arrive, account for it here.
                     with self.lock:
-                        slot.alive = False
                         if slot.error is None:
                             slot.error = MachineError(
                                 f"rank {slot.rank} terminated unexpectedly"
                             )
-                    self._broadcast("dead", slot.rank, slot.incarnation)
+                    self.consensus.die(slot.rank)
+                    self._broadcast("dead", slot.rank)
                     slot.done.set()
 
     # -------------------------------------------------------------- teardown
@@ -609,8 +572,8 @@ class ProcBackend:
                 fault_log.absorb(census["fault_entries"])
                 machine.fault_schedule.absorb_fired(census["fired"])
                 ops = census.get("recorder_ops")
-                if ops and machine.recorder is not None:
-                    machine.recorder.absorb(ops)
+                if ops:
+                    machine.tracer.absorb(ops)
             per_rank.append(clock)
             ledgers.append(ledger)
             peaks.append(peak)
@@ -628,7 +591,7 @@ class ProcBackend:
             peak_memory=peaks,
             fault_log=fault_log,
             errors=errors,
-            trace=None,
+            trace=machine.tracer if machine.tracer.enabled else None,
             metrics=None,
         )
         if errors and raise_on_error:

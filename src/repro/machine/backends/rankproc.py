@@ -3,11 +3,10 @@
 Each rank runs :func:`rank_main` in its own OS process: it connects back
 to the coordinator, rebuilds the simulator's per-rank machinery — a
 local :class:`~repro.machine.network.Router` mailbox, a
-:class:`~repro.machine.comm._SharedState` whose liveness lists are
-*mirrors* maintained from coordinator broadcasts, and a
-:class:`ProcCommunicator` — and then runs the **unmodified** rank
-program against the ordinary :class:`~repro.machine.comm.Communicator`
-API.
+:class:`RankState` whose liveness lists are *mirrors* maintained from
+coordinator broadcasts, and a :class:`ProcCommunicator` — and then runs
+the **unmodified** rank program against the ordinary
+:class:`~repro.machine.comm.Communicator` API.
 
 Three threads per rank process:
 
@@ -20,13 +19,14 @@ Three threads per rank process:
   ``REPRO_HEARTBEAT`` seconds so a wedged process is distinguishable
   from a slow one.
 
-Only the handful of primitives that need machine-global consistency
-(``vote`` / ``poll_votes`` / ``gate`` / ``agree_dead`` /
-``begin_replacement`` / death and abort announcements) round-trip to
-the coordinator; everything else — cost clocks, ledgers, phases, fault
-points, memory, the schedule recorder — is rank-local, exactly as in
-the simulator, which is what makes fault-free runs bit-identical across
-backends.
+Only the agreement methods of :class:`~repro.machine.comm.Consensus`
+(failure agreement, votes, gate arrivals and completion, deaths,
+aborts and replacements) round-trip to the coordinator, which holds the
+one authority; :class:`RankState` makes each of them a ``CONTROL``, so
+the ``Communicator`` methods above them run unchanged.  Everything else
+— cost clocks, ledgers, phases, fault points, memory, the schedule
+recorder — is rank-local, exactly as in the simulator, which is what
+makes fault-free runs bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -41,19 +41,21 @@ from typing import Any
 
 from repro.machine.backends import wire
 from repro.machine.comm import Communicator, _SharedState
-from repro.machine.errors import (
-    CommError,
-    DeadlockError,
-    HardFault,
-    MachineError,
-)
+from repro.machine.errors import CommError, DeadlockError, MachineError
 from repro.machine.fault import FaultLog, FaultSchedule
 from repro.machine.memory import LocalMemory
 from repro.machine.network import Message, Router
 from repro.machine.record import ScheduleRecorder
 from repro.util.env import heartbeat_interval, join_grace, poll_interval
 
-__all__ = ["RankConfig", "RankWaiter", "ProcRouter", "ProcCommunicator", "rank_main"]
+__all__ = [
+    "RankConfig",
+    "RankWaiter",
+    "RankState",
+    "ProcRouter",
+    "ProcCommunicator",
+    "rank_main",
+]
 
 
 @dataclass
@@ -97,12 +99,11 @@ class RankWaiter:
     """The rank process's scheduler, and the process backend's one
     wall-clock wait.
 
-    Installed as ``state.scheduler``: the inherited receive loop parks
-    here between re-checks, and so does :meth:`ProcCommunicator.gate`
-    between polls.  The receiver thread calls :meth:`wake` after every
-    delivery and liveness event.  Wakes are counted, so one that lands
-    between a failed re-check and the park returns the park at once
-    instead of being lost.  Each receive and each gate gets its own
+    Installed as ``state.scheduler``: the inherited receive loop and gate
+    park here between re-checks.  The receiver thread calls :meth:`wake`
+    after every delivery and liveness event.  Wakes are counted, so one
+    that lands between a failed re-check and the park returns the park
+    at once instead of being lost.  Each receive and each gate gets its own
     ``limit``, measured from its first park; :meth:`begin` marks where a
     new one starts.  Every park returns True ("re-check") until that
     limit has run out, then False.
@@ -130,7 +131,9 @@ class RankWaiter:
         """Park a receive until the next wake."""
         return self._park(limit, None)
 
-    def block_gate(self, limit: float) -> bool:
+    def block_gate(
+        self, rank: int, key: Any, pending: set[int], limit: float
+    ) -> bool:
         """Park a gate until the next wake or for one poll interval (the
         coordinator does not push gate arrivals)."""
         return self._park(limit, poll_interval())
@@ -151,6 +154,12 @@ class RankWaiter:
     def on_post(self, msg: Message) -> None:
         """Sends leave the process; deliveries arrive through :meth:`wake`."""
 
+    def on_gate_arrival(self, key: Any, arriver: int) -> None:
+        """Gate parks re-poll the coordinator instead."""
+
+    def on_liveness_change(self) -> None:
+        """Peers learn of this rank's death or abort by broadcast."""
+
     def yield_turn(self, rank: int) -> None:
         """Detector reads see the receiver thread's mirrors directly."""
 
@@ -167,7 +176,7 @@ class HubClient:
         self.sock = sock
         self.config = config
         self.fault_mode = config.fault_mode
-        self.state: _SharedState | None = None
+        self.state: RankState | None = None
         self.router: "ProcRouter | None" = None
         self.sent_result = False
         self._wlock = threading.Lock()
@@ -261,12 +270,12 @@ class HubClient:
                 os._exit(4)
 
     @staticmethod
-    def _apply_event(state: _SharedState, payload: tuple) -> None:
+    def _apply_event(state: RankState, payload: tuple) -> None:
         """Fold a liveness broadcast into the mirrors.
 
         Events carry absolute values (not deltas) so re-applying one a
-        rank already knows — e.g. its own death, applied locally before
-        the coordinator echoed it — is harmless.
+        rank already knows — e.g. a replacement's own incarnation, already
+        in its GO snapshot — is harmless.
         """
         op, rank, value = payload
         with state.lock:
@@ -348,123 +357,81 @@ class ProcRouter(Router):
         return self._client._last_purge
 
 
-class ProcCommunicator(Communicator):
-    """The standard communicator with consistency primitives rerouted.
+class RankState(_SharedState):
+    """The rank process's machine state.
 
-    Everything rank-local is inherited; the overrides below are exactly
-    the operations whose simulator implementation reads or writes
-    *machine-global* shared state, which on this backend lives in the
-    coordinator.
+    Its liveness lists mirror the coordinator's
+    :class:`~repro.machine.comm.Consensus`: the receiver thread folds
+    every liveness broadcast into them.  Each agreement method is a
+    ``CONTROL`` round trip to that authority.  The coordinator
+    broadcasts the liveness change a control makes before it replies,
+    down the same socket, so when a round trip returns the mirror
+    already shows it.
     """
 
-    def __init__(self, state: _SharedState, rank: int, client: HubClient):
+    def __init__(self, client: HubClient, **kwargs: Any):
+        super().__init__(**kwargs)
+        self._client = client
+
+    def agree_dead(self, key: Any, candidates: Any) -> frozenset:
+        return self._client.control("agree_dead", key, tuple(candidates))
+
+    def vote(self, key: Any, rank: int, value: bool) -> None:
+        self._client.control("vote", key, rank, value)
+
+    def poll_votes(self, key: Any) -> dict[int, bool]:
+        return self._client.control("poll_votes", key)
+
+    def arrive(self, key: Any, rank: int) -> None:
+        self._client.control("arrive", key, rank)
+
+    def gate_pending(self, key: Any, participants: Any) -> set[int]:
+        return self._client.control("gate_pending", key, tuple(participants))
+
+    def die(self, rank: int) -> None:
+        self._client.control("die", rank)
+
+    def abort(self, rank: int, task: int) -> None:
+        self._client.control("abort", rank, task)
+
+    def replace(self, rank: int) -> int:
+        return self._client.control("replace", rank)
+
+
+class ProcCommunicator(Communicator):
+    """The standard communicator, with a fresh wall-clock limit for each
+    receive and gate and the live-kill hold at a fault point."""
+
+    def __init__(self, state: RankState, rank: int, client: HubClient):
         super().__init__(state, rank)
         self._client = client
 
     def _collect_matched(self, *args: Any, **kwargs: Any) -> Message:
-        """The inherited receive loop, with a fresh wait limit."""
         self._client.waiter.begin()
         return super()._collect_matched(*args, **kwargs)
-
-    # -- agreement / votes / gates ------------------------------------------
-    def agree_dead(self, key: Any, candidates: Any) -> frozenset:
-        dead = self._client.control("agree_dead", key, tuple(candidates))
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_agree_dead(
-                self.rank, self.current_phase, key, candidates, dead,
-                self.incarnation,
-            )
-        return dead
-
-    def vote(self, key: Any, value: bool) -> None:
-        self._client.control("vote", key, self.rank, value)
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_vote(
-                self.rank, self.current_phase, key, value, self.incarnation
-            )
-
-    def poll_votes(self, key: Any) -> dict[int, bool]:
-        return dict(self._client.control("poll_votes", key))
 
     def gate(
         self, key: Any, participants: Any, timeout: float | None = None
     ) -> None:
-        state = self._state
-        self._client.control("gate_arrive", key, self.rank)
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_gate(
-                self.rank, self.current_phase, key, participants,
-                self.incarnation,
-            )
-        limit = state.timeout if timeout is None else timeout
-        waiter = self._client.waiter
-        waiter.begin()
-        while not self._client.control("gate_poll", key, tuple(participants)):
-            if not waiter.block_gate(limit):
-                raise DeadlockError(
-                    f"rank {self.rank}: gate {key!r} never completed"
-                )
+        self._client.waiter.begin()
+        super().gate(key, participants, timeout)
 
-    # -- withdrawal ----------------------------------------------------------
-    def mark_aborted(self, task: int) -> None:
-        state = self._state
-        with state.lock:
-            state.aborted_task[self.rank] = task
-        self._client.control("abort", self.rank, task)
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_abort(
-                self.rank, self.current_phase, task, self.incarnation
-            )
-
-    # -- fault path ----------------------------------------------------------
     def _die(self, op_index: int) -> None:
-        state = self._state
-        phase = self.current_phase
-        incarnation = self.incarnation
-        with state.lock:
-            state.alive[self.rank] = False
-        state.fault_log.record(
-            self.rank, phase, op_index, incarnation, kind="hard"
-        )
         if self._client.fault_mode in ("kill", "respawn"):
             # Live injection: ship the census (clock, ledger, recorder
             # ops, fault log — everything a SIGKILL would destroy), then
             # hold still at the scheduled fault point and wait for the
             # coordinator's kill.  This process never executes another
             # instruction of the rank program.
+            phase = self.current_phase
+            self._state.fault_log.record(
+                self.rank, phase, op_index, self.incarnation, kind="hard"
+            )
             census = build_census(self, phase=phase, op_index=op_index)
             self._client.send(wire.FAULT_REQ, census)
             while True:
                 time.sleep(poll_interval())
-        self._client.control("die", self.rank)
-        self.memory.wipe()
-        state.heaps[self.rank].clear()
-        raise HardFault(self.rank, phase, op_index)
-
-    def begin_replacement(self, purge: bool = True) -> int:
-        state = self._state
-        if purge:
-            state.router.purge(self.rank)
-        with state.lock:
-            if state.alive[self.rank]:
-                raise CommError(
-                    f"rank {self.rank} called begin_replacement while alive"
-                )
-        new_inc = self._client.control("replacement", self.rank)
-        with state.lock:
-            state.incarnations[self.rank] = new_inc
-            state.alive[self.rank] = True
-        self._phase_ops = 0
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_replacement(
-                self.rank, self.current_phase, purge, new_inc
-            )
-        return new_inc
+        super()._die(op_index)
 
 
 def build_census(
@@ -483,7 +450,7 @@ def build_census(
     """
     state = comm._state
     ledger = comm.ledger
-    recorder = state.recorder
+    tracer = state.tracer
     return {
         "rank": comm.rank,
         "inc": comm.incarnation,
@@ -492,7 +459,9 @@ def build_census(
         "peak": comm.memory.peak,
         "fault_entries": state.fault_log.entries,
         "fired": state.fault_schedule.fired,
-        "recorder_ops": recorder.ops() if recorder is not None else None,
+        "recorder_ops": (
+            tracer.ops() if isinstance(tracer, ScheduleRecorder) else None
+        ),
         "phase": phase,
         "op_index": op_index,
         "result": result,
@@ -510,7 +479,8 @@ def rank_main(config: RankConfig) -> None:
     memories = [
         LocalMemory(config.memory_words, rank=r) for r in range(config.size)
     ]
-    state = _SharedState(
+    state = RankState(
+        client,
         size=config.size,
         router=router,
         word_bits=config.word_bits,
@@ -519,8 +489,7 @@ def rank_main(config: RankConfig) -> None:
         fault_log=FaultLog(),
         timeout=config.timeout,
         topology=config.topology,
-        tracer=None,
-        recorder=ScheduleRecorder() if config.record else None,
+        tracer=ScheduleRecorder() if config.record else None,
     )
     state.scheduler = client.waiter
     with state.lock:
@@ -542,10 +511,8 @@ def rank_main(config: RankConfig) -> None:
         # Dead-for-everyone semantics, as in the simulator's runner: a
         # rank failing outside the fault protocol flips its liveness so
         # peers unblock fast.
-        with state.lock:
-            state.alive[config.rank] = False
         try:
-            client.control("die", config.rank)
+            state.die(config.rank)
         except (MachineError, OSError):  # repro-lint: disable=EXC001 -- audited: best-effort death notice; the error itself still ships in the census
             pass
     client.stop()

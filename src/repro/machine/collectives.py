@@ -262,16 +262,16 @@ def _charge_lemma25(
         f=total_words if with_flops else 0, bw=total_words, l=logp + t
     )
     base = _base_comm(comm)
-    recorder = base._state.recorder
-    if recorder is not None:
+    tracer = base._state.tracer
+    if tracer.enabled:
         group = (
             list(comm.ranks)
             if hasattr(comm, "ranks")
             else list(range(comm.size))
         )
-        recorder.on_collective(
-            base.rank, base.current_phase, name, group,
-            total_words, logp + t, base.incarnation,
+        tracer.on_modeled_charge(
+            base.rank, base.current_phase, base.incarnation, name, group,
+            total_words, logp + t,
         )
 
 
@@ -287,11 +287,10 @@ def _uncharged_send(comm: Any, dest: int, payload: Any, tag: int) -> None:
         gdest = base.ranks[gdest]
         base = base.parent
     base.fault_point()
-    recorder = base._state.recorder
-    if recorder is not None:
-        recorder.on_send(
-            base.rank, base.current_phase, gdest, tag, 0, 0,
-            base.incarnation, modeled=True,
+    tracer = base._state.tracer
+    if tracer.enabled:
+        tracer.on_modeled_send(
+            base.rank, base.current_phase, base.incarnation, gdest, tag
         )
     base._post(gdest, payload, tag, 0)
 

@@ -14,29 +14,124 @@ Each rank program receives a :class:`Communicator`.  It provides:
   replacement processor (fresh incarnation, empty memory, purged mailbox),
 - ``sub(ranks)`` for row/column sub-communicators with translated ranks,
 - failure detection (``dead_ranks``, ``is_alive``) — the paper assumes
-  faults are detected; we model a perfect failure detector.
+  faults are detected; we model a perfect failure detector,
+- the runtime's agreement primitives (``agree_dead``, ``vote``, ``gate``,
+  ``mark_aborted``), whose rules live once in :class:`Consensus`.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.machine.costs import CostClock, PhaseLedger
 from repro.machine.errors import CommError, DeadlockError, HardFault, PeerDead
 from repro.machine.fault import FaultLog, FaultSchedule
 from repro.machine.memory import LocalMemory
 from repro.machine.network import Message, Router
-from repro.machine.record import ScheduleRecorder
 from repro.machine.sizes import payload_words
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Communicator", "SubCommunicator"]
+__all__ = ["Communicator", "Consensus", "SubCommunicator"]
 
 
-class _SharedState:
-    """Machine-wide state shared by all communicators (engine-owned)."""
+class Consensus:
+    """The machine's agreement authority (the runtime support that
+    fault-tolerant MPI runtimes such as ULFM give their programs).
+
+    It holds the liveness, finish and withdrawal flags and the
+    incarnation numbers, and the three rules built on them:
+
+    - **failure agreement** — the first caller per key snapshots the
+      failure detector; later callers see the same snapshot, so all
+      ranks act on one dead set;
+    - **votes** — one boolean flag per rank and key, read back after the
+      matching gate;
+    - **gates** — a gate is complete for its caller once every
+      participant has arrived or died.
+
+    The simulator's :class:`_SharedState` is one.  The process backend's
+    coordinator holds one as its authority, and a rank process reaches
+    it by ``CONTROL`` round trips (docs/MACHINE.md "Backends").
+    """
+
+    def __init__(self, size: int):
+        self.lock = threading.Lock()
+        self.alive = [True] * size  # guarded-by: lock
+        # Ranks whose program has returned (or raised): a finished rank
+        # will never send again, so a receiver still blocked on it can
+        # fail over immediately instead of waiting out the deadlock
+        # detector.  Pending messages still win — the engine sets this
+        # only after the rank's last send has been posted.
+        self.finished = [False] * size  # guarded-by: lock
+        # Logical withdrawal markers: a rank that abandons the current task
+        # (polynomial-code column halt, Section 4.2) records the task index
+        # here so peers stop waiting for its messages.  -1 = participating.
+        self.aborted_task = [-1] * size  # guarded-by: lock
+        self.incarnations = [0] * size  # guarded-by: lock
+        self.agreed_dead: dict[Any, frozenset] = {}  # guarded-by: lock
+        self.gates: dict[Any, set[int]] = {}  # guarded-by: lock
+        self.votes: dict[Any, dict[int, bool]] = {}  # guarded-by: lock
+
+    def agree_dead(self, key: Any, candidates: Iterable[int]) -> frozenset:
+        """The dead ``candidates`` as the first caller under ``key`` saw
+        them."""
+        with self.lock:
+            dead = self.agreed_dead.get(key)
+            if dead is None:
+                dead = self.agreed_dead[key] = frozenset(
+                    r for r in candidates if not self.alive[r]
+                )
+            return dead
+
+    def vote(self, key: Any, rank: int, value: bool) -> None:
+        with self.lock:
+            self.votes.setdefault(key, {})[rank] = value
+
+    def poll_votes(self, key: Any) -> dict[int, bool]:
+        with self.lock:
+            return dict(self.votes.get(key, {}))
+
+    def arrive(self, key: Any, rank: int) -> None:
+        """Register ``rank`` at gate ``key``."""
+        with self.lock:
+            self.gates.setdefault(key, set()).add(rank)
+
+    def gate_pending(self, key: Any, participants: Iterable[int]) -> set[int]:
+        """The participants of gate ``key`` that have neither arrived nor
+        died; the gate is complete when this is empty."""
+        with self.lock:
+            arrived = self.gates.get(key, ())
+            return {p for p in participants if p not in arrived and self.alive[p]}
+
+    def die(self, rank: int) -> None:
+        with self.lock:
+            self.alive[rank] = False
+
+    def finish(self, rank: int) -> None:
+        with self.lock:
+            self.finished[rank] = True
+
+    def abort(self, rank: int, task: int) -> None:
+        with self.lock:
+            self.aborted_task[rank] = task
+
+    def replace(self, rank: int) -> int:
+        """Bring ``rank`` back as its next incarnation; returns the new
+        incarnation number.  The abort marker is deliberately left
+        untouched: recovery protocols decide when the replacement rejoins
+        a task."""
+        with self.lock:
+            self.incarnations[rank] += 1
+            self.alive[rank] = True
+            return self.incarnations[rank]
+
+
+class _SharedState(Consensus):
+    """Machine-wide state shared by all communicators (engine-owned): the
+    agreement authority plus the router, cost clocks, ledgers, memories
+    and fault schedule."""
 
     def __init__(
         self,
@@ -49,17 +144,14 @@ class _SharedState:
         timeout: float,
         topology: Any = None,
         tracer: Tracer | None = None,
-        recorder: ScheduleRecorder | None = None,
     ):
         from repro.machine.topology import FullyConnected
 
+        super().__init__(size)
         self.size = size
         # Explicit None-check: an empty RecordingTracer has len() == 0 and
         # would be falsy under ``tracer or NULL_TRACER``.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Communication-schedule recorder (commcheck extraction); None
-        #: outside extraction runs, and purely observational when set.
-        self.recorder = recorder
         #: Where blocking calls park and posts/deaths issue wakes: the
         #: cooperative :class:`~repro.machine.engines.event.EventEngine`
         #: for the duration of a simulator run (docs/MACHINE.md
@@ -74,31 +166,9 @@ class _SharedState:
         self.fault_schedule = fault_schedule
         self.fault_log = fault_log
         self.timeout = timeout
-        self.lock = threading.Lock()
-        self.alive = [True] * size  # guarded-by: lock
-        # Ranks whose program has returned (or raised): a finished rank
-        # will never send again, so a receiver still blocked on it can
-        # fail over immediately instead of waiting out the deadlock
-        # detector.  Pending messages still win — the engine sets this
-        # only after the rank's last send has been posted.
-        self.finished = [False] * size  # guarded-by: lock
-        # Logical withdrawal markers: a rank that abandons the current task
-        # (polynomial-code column halt, Section 4.2) records the task index
-        # here so peers stop waiting for its messages.  -1 = participating.
-        self.aborted_task = [-1] * size  # guarded-by: lock
-        self.incarnations = [0] * size  # guarded-by: lock
         self.clocks = [CostClock() for _ in range(size)]
         self.ledgers = [PhaseLedger() for _ in range(size)]
         self.heaps: list[dict[str, Any]] = [dict() for _ in range(size)]
-        # Runtime-provided agreement on failure sets (models the agreement
-        # primitive of fault-tolerant MPI runtimes such as ULFM): the first
-        # caller per key snapshots the detector; later callers see the same
-        # snapshot, so all ranks act on a consistent dead set.
-        self.agreed_dead: dict[Any, frozenset] = {}  # guarded-by: lock
-        # Fault-tolerant barrier registrations (see Communicator.gate).
-        self.gates: dict[Any, set[int]] = {}  # guarded-by: lock
-        # Flag votes collected before a gate (see Communicator.vote).
-        self.votes: dict[Any, dict[int, bool]] = {}  # guarded-by: lock
 
 
 class Communicator:
@@ -177,17 +247,12 @@ class Communicator:
         snapshot is taken only after every participant has settled.
         """
         state = self._state
-        with state.lock:
-            if key not in state.agreed_dead:
-                state.agreed_dead[key] = frozenset(
-                    r for r in candidates if not state.alive[r]
-                )
-            dead = state.agreed_dead[key]
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_agree_dead(
-                self.rank, self.current_phase, key, candidates, dead,
-                self.incarnation,
+        dead = state.agree_dead(key, candidates)
+        tracer = state.tracer
+        if tracer.enabled:
+            tracer.on_agree_dead(
+                self.rank, self.current_phase, self.incarnation, key,
+                candidates, dead,
             )
         return dead
 
@@ -196,12 +261,11 @@ class Communicator:
         :meth:`gate` with :meth:`poll_votes`) — used for consistent group
         decisions such as "did this task attempt succeed everywhere"."""
         state = self._state
-        with state.lock:
-            state.votes.setdefault(key, {})[self.rank] = value
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_vote(
-                self.rank, self.current_phase, key, value, self.incarnation
+        state.vote(key, self.rank, value)
+        tracer = state.tracer
+        if tracer.enabled:
+            tracer.on_vote(
+                self.rank, self.current_phase, self.incarnation, key, value
             )
 
     def poll_votes(self, key: Any) -> dict[int, bool]:
@@ -209,11 +273,9 @@ class Communicator:
         read after it, and every live participant's vote is present).
 
         Named ``poll_votes`` (not ``votes``) so the accessor is not
-        mistaken for the guarded ``_SharedState.votes`` field itself."""
+        mistaken for the guarded ``Consensus.votes`` field itself."""
         self._detector_yield()
-        state = self._state
-        with state.lock:
-            return dict(state.votes.get(key, {}))
+        return self._state.poll_votes(key)
 
     def gate(self, key: Any, participants: Sequence[int], timeout: float | None = None) -> None:
         """Fault-tolerant barrier: block until every participant has
@@ -228,33 +290,28 @@ class Communicator:
         The rank parks on the scheduler with the set of participants still
         missing; arrivals strike ranks off that set and wake it when it
         empties (deaths wake everyone).  ``timeout`` survives only as the
-        quiescence priority.  (The process backend overrides this method.)
+        quiescence priority; in a rank process it is the gate's wall-clock
+        limit.
         """
         state = self._state
-        with state.lock:
-            state.gates.setdefault(key, set()).add(self.rank)
+        state.arrive(key, self.rank)
         scheduler = state.scheduler
         # Our arrival may complete a gate a parked peer is waiting on.
         scheduler.on_gate_arrival(key, self.rank)
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_gate(
-                self.rank, self.current_phase, key, participants,
-                self.incarnation,
+        tracer = state.tracer
+        if tracer.enabled:
+            tracer.on_gate(
+                self.rank, self.current_phase, self.incarnation, key,
+                participants,
             )
         limit = state.timeout if timeout is None else timeout
-        while True:
-            with state.lock:
-                arrived = state.gates[key]
-                pending = {
-                    p for p in participants if p not in arrived and state.alive[p]
-                }
-            if not pending:
-                return
+        pending = state.gate_pending(key, participants)
+        while pending:
             if not scheduler.block_gate(self.rank, key, pending, limit):
                 raise DeadlockError(
                     f"rank {self.rank}: gate {key!r} never completed"
                 )
+            pending = state.gate_pending(key, participants)
 
     def dead_ranks(self, ranks: Sequence[int] | None = None) -> set[int]:
         """The perfect failure detector: dead ranks among ``ranks``."""
@@ -268,17 +325,12 @@ class Communicator:
         """Record that this rank abandoned task ``task`` (its polynomial-
         code column was killed); peers treat it like a dead sender for
         that task."""
-        with self._state.lock:
-            self._state.aborted_task[self.rank] = task
+        state = self._state
+        state.abort(self.rank, task)
         # Receivers using abort_check fail over on withdrawal exactly like
         # on death: wake them to re-check.
-        self._state.scheduler.on_liveness_change()
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_abort(
-                self.rank, self.current_phase, task, self.incarnation
-            )
-        tracer = self._state.tracer
+        state.scheduler.on_liveness_change()
+        tracer = state.tracer
         if tracer.enabled:
             tracer.on_abort(
                 self.rank,
@@ -380,8 +432,7 @@ class Communicator:
 
     def _die(self, op_index: int) -> None:
         state = self._state
-        with state.lock:
-            state.alive[self.rank] = False
+        state.die(self.rank)
         # Receivers parked on this rank must re-check and fail over.
         state.scheduler.on_liveness_change()
         phase = self.current_phase
@@ -411,25 +462,18 @@ class Communicator:
                 raise CommError(
                     f"rank {self.rank} called begin_replacement while alive"
                 )
-            state.incarnations[self.rank] += 1
-            state.alive[self.rank] = True
-            # The abort marker is deliberately left untouched: recovery
-            # protocols decide when the replacement rejoins a task.
+        incarnation = state.replace(self.rank)
         self._phase_ops = 0
-        recorder = state.recorder
-        if recorder is not None:
-            recorder.on_replacement(
-                self.rank, self.current_phase, purge, self.incarnation
-            )
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_replacement(
                 self.rank,
                 self.current_phase,
                 self.clock.snapshot(),
-                self.incarnation,
+                incarnation,
+                purge,
             )
-        return self.incarnation
+        return incarnation
 
     # -- accounting ----------------------------------------------------------
     def charge_flops(self, ops: int) -> None:
@@ -456,12 +500,6 @@ class Communicator:
         self.clock.bw += nwords
         self.clock.l += hops
         self.ledger.charge(bw=nwords, l=hops)
-        recorder = self._state.recorder
-        if recorder is not None:
-            recorder.on_send(
-                self.rank, self.current_phase, dest, tag, nwords, hops,
-                self.incarnation,
-            )
         tracer = self._state.tracer
         if tracer.enabled:
             tracer.on_send(
@@ -544,9 +582,10 @@ class Communicator:
         rank process) and raises :class:`DeadlockError`.  ``modeled``
         transport fails over only when the source dies — a finished or
         withdrawn contributor that never sent is a deadlock, not a
-        skipped summand — and is recorded with no hops.  Every delivered
+        skipped summand — and is observed with no hops.  Every delivered
         message passes through here exactly once, which is where the
-        schedule recorder observes receives."""
+        tracer's ``on_deliver`` hook (the schedule recorder's receives)
+        fires."""
         if source == self.rank:
             raise CommError(f"rank {self.rank} attempted a self-receive")
         state = self._state
@@ -577,12 +616,12 @@ class Communicator:
                     f"after {limit:.1f}s"
                 )
             msg = take(self.rank, source, tag)
-        recorder = state.recorder
-        if recorder is not None:
+        tracer = state.tracer
+        if tracer.enabled:
             hops = 0 if modeled else state.topology.hops(msg.source, self.rank)
-            recorder.on_recv(
-                self.rank, self.current_phase, msg.source, msg.tag, msg.words,
-                hops, self.incarnation, modeled=modeled, raw=raw,
+            tracer.on_deliver(
+                self.rank, self.current_phase, self.incarnation, msg.source,
+                msg.tag, msg.words, hops, modeled, raw,
             )
         return msg
 
@@ -640,10 +679,10 @@ class SubCommunicator:
         self.parent = parent
         self.ranks = ranks
         self.rank = ranks.index(parent.rank)
-        recorder = parent._state.recorder
-        if recorder is not None:
-            recorder.on_sub(
-                parent.rank, parent.current_phase, ranks, parent.incarnation
+        tracer = parent._state.tracer
+        if tracer.enabled:
+            tracer.on_sub(
+                parent.rank, parent.current_phase, parent.incarnation, ranks
             )
 
     @property
@@ -711,8 +750,8 @@ class SubCommunicator:
     def soft_fault_point(self) -> bool:
         return self.parent.soft_fault_point()
 
-    def begin_replacement(self) -> int:
-        return self.parent.begin_replacement()
+    def begin_replacement(self, purge: bool = True) -> int:
+        return self.parent.begin_replacement(purge=purge)
 
     def charge_flops(self, ops: int) -> None:
         self.parent.charge_flops(ops)

@@ -125,14 +125,11 @@ class Machine:
         ``True`` for a :class:`~repro.obs.tracer.RecordingTracer` under
         the unit cost model, a :class:`~repro.machine.costs.CostModel`
         to pick the virtual-time weights, or a
-        :class:`~repro.obs.tracer.Tracer` instance.  Tracing never
-        charges costs: ``RunResult.critical_path`` is identical with and
-        without it.
-    recorder:
-        Optional :class:`~repro.machine.record.ScheduleRecorder`
-        (``commcheck`` schedule extraction).  Purely observational — it
-        records the communication structure and never alters costs,
-        matching, or control flow.
+        :class:`~repro.obs.tracer.Tracer` instance — among them a
+        :class:`~repro.machine.record.ScheduleRecorder` for
+        ``commcheck`` schedule extraction, the one tracer the ``proc``
+        backend accepts.  Tracing never charges costs:
+        ``RunResult.critical_path`` is identical with and without it.
     backend:
         Execution backend: ``"sim"`` (in-process simulator),
         ``"proc"`` (one OS process per rank over localhost sockets — see
@@ -151,7 +148,6 @@ class Machine:
         timeout: float = 60.0,
         topology: Any = None,
         trace: Any = None,
-        recorder: Any = None,
         backend: str | None = None,
     ):
         if size <= 0:
@@ -173,7 +169,6 @@ class Machine:
         self.timeout = scaled_timeout(timeout)
         self.topology = topology
         self.tracer = make_tracer(trace)
-        self.recorder = recorder
         #: Explicit backend override; None defers to ``REPRO_BACKEND`` at
         #: each :meth:`run` (so scoping the variable around code that
         #: builds machines internally selects the backend for all of them).
@@ -219,7 +214,6 @@ class Machine:
             timeout=self.timeout,
             topology=self.topology,
             tracer=tracer,
-            recorder=self.recorder,
         )
         if tracer.enabled:
             self._wire_tracer(state, memories)
@@ -239,15 +233,13 @@ class Machine:
                     errors[rank] = exc
                 # A rank that dies outside the fault protocol is dead for
                 # everyone: flip the liveness flag so peers unblock fast.
-                with state.lock:
-                    state.alive[rank] = False
+                state.die(rank)
             finally:
                 # Finished (returned or raised) means no further sends will
                 # ever be posted: receivers still blocked on this rank fail
                 # over to PeerDead instead of waiting out the deadlock
                 # detector.
-                with state.lock:
-                    state.finished[rank] = True
+                state.finish(rank)
 
         EventEngine(state).execute(runner)
 

@@ -1,26 +1,34 @@
 """Communication-schedule recording (the ``commcheck`` extraction layer).
 
-A :class:`ScheduleRecorder` shadows the :class:`~repro.machine.comm.Communicator`:
-when one is installed on a :class:`~repro.machine.engine.Machine`, every
-communication operation — point-to-point sends/receives, Lemma 2.5
-collective transport and charges, ``gate`` / ``agree_dead`` / ``vote``
-synchronization, sub-communicator creation, aborts and replacements — is
-appended to a per-rank operation list in **program order**.
+A :class:`ScheduleRecorder` is a :class:`~repro.obs.tracer.Tracer`:
+installed with ``Machine(trace=recorder)`` (or ``trace=`` on an algorithm
+or campaign variant), it appends every communication operation —
+point-to-point sends/receives, Lemma 2.5 collective transport and
+charges, ``gate`` / ``agree_dead`` / ``vote`` synchronization,
+sub-communicator creation, aborts and replacements — to a per-rank
+operation list in **program order**.  It implements the tracer hooks
+that observe those operations and leaves the event hooks (phases,
+charged receives, collective markers, memory, faults) as no-ops.
 
 Program order per rank is deterministic for a fault-free run (the
-algorithms draw no entropy and the thread interleaving never reorders a
-single rank's own calls), so the recorded schedule for a given
-``(P, k, f)`` is byte-for-byte reproducible even though the run itself is
-multi-threaded.  No global interleaving order and no virtual-clock values
-are recorded — only the structure the communication checker needs.
+algorithms draw no entropy and the scheduler never reorders a single
+rank's own calls), so the recorded schedule for a given ``(P, k, f)`` is
+byte-for-byte reproducible.  No global interleaving order and no
+virtual-clock values are recorded — only the structure the
+communication checker needs.
 
 The recorder observes; it never alters costs, matching, or control flow.
+It is the one tracer the process backend accepts: each rank process
+records its own ops and ships them home in its census.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, Sequence
+
+from repro.machine.costs import Counts
+from repro.obs.tracer import Tracer
 
 __all__ = ["ScheduleRecorder"]
 
@@ -30,7 +38,7 @@ def _key_repr(key: Hashable) -> str:
     return repr(key)
 
 
-class ScheduleRecorder:
+class ScheduleRecorder(Tracer):
     """Thread-safe per-rank recorder of communication operations.
 
     Each operation is a plain dict (JSON-ready) with at least ``op``,
@@ -54,6 +62,8 @@ class ScheduleRecorder:
         fault-path markers (``task`` / ``purge``).
     """
 
+    enabled = True
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: rank -> ops in that rank's program order.
@@ -67,40 +77,42 @@ class ScheduleRecorder:
 
     # -- point-to-point -----------------------------------------------------
     def on_send(
-        self,
-        rank: int,
-        phase: str | None,
-        dest: int,
-        tag: int,
-        words: int,
-        hops: int,
-        inc: int,
-        modeled: bool = False,
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        dest: int, tag: int, words: int, hops: int,
     ) -> None:
-        op: dict[str, Any] = {
-            "op": "send",
-            "phase": phase,
-            "peer": dest,
-            "tag": tag,
-            "words": words,
-            "hops": hops,
-            "inc": inc,
-        }
-        if modeled:
-            op["modeled"] = True
-        self._append(rank, op)
+        self._append(
+            rank,
+            {
+                "op": "send",
+                "phase": phase,
+                "peer": dest,
+                "tag": tag,
+                "words": words,
+                "hops": hops,
+                "inc": incarnation,
+            },
+        )
 
-    def on_recv(
-        self,
-        rank: int,
-        phase: str | None,
-        source: int,
-        tag: int,
-        words: int,
-        hops: int,
-        inc: int,
-        modeled: bool = False,
-        raw: bool = False,
+    def on_modeled_send(
+        self, rank: int, phase: str, incarnation: int, dest: int, tag: int
+    ) -> None:
+        self._append(
+            rank,
+            {
+                "op": "send",
+                "phase": phase,
+                "peer": dest,
+                "tag": tag,
+                "words": 0,
+                "hops": 0,
+                "inc": incarnation,
+                "modeled": True,
+            },
+        )
+
+    def on_deliver(
+        self, rank: int, phase: str, incarnation: int, source: int, tag: int,
+        words: int, hops: int, modeled: bool, raw: bool,
     ) -> None:
         op: dict[str, Any] = {
             "op": "recv",
@@ -109,7 +121,7 @@ class ScheduleRecorder:
             "tag": tag,
             "words": words,
             "hops": hops,
-            "inc": inc,
+            "inc": incarnation,
         }
         if modeled:
             op["modeled"] = True
@@ -118,15 +130,9 @@ class ScheduleRecorder:
         self._append(rank, op)
 
     # -- collectives --------------------------------------------------------
-    def on_collective(
-        self,
-        rank: int,
-        phase: str | None,
-        name: str,
-        group: Iterable[int],
-        bw: int,
-        l: int,
-        inc: int,
+    def on_modeled_charge(
+        self, rank: int, phase: str, incarnation: int, name: str,
+        group: Sequence[int], bw: int, l: int,
     ) -> None:
         self._append(
             rank,
@@ -137,18 +143,14 @@ class ScheduleRecorder:
                 "group": sorted(group),
                 "bw": bw,
                 "l": l,
-                "inc": inc,
+                "inc": incarnation,
             },
         )
 
     # -- synchronization ----------------------------------------------------
     def on_gate(
-        self,
-        rank: int,
-        phase: str | None,
-        key: Hashable,
+        self, rank: int, phase: str, incarnation: int, key: Hashable,
         participants: Iterable[int],
-        inc: int,
     ) -> None:
         self._append(
             rank,
@@ -157,18 +159,13 @@ class ScheduleRecorder:
                 "phase": phase,
                 "key": _key_repr(key),
                 "participants": sorted(participants),
-                "inc": inc,
+                "inc": incarnation,
             },
         )
 
     def on_agree_dead(
-        self,
-        rank: int,
-        phase: str | None,
-        key: Hashable,
-        candidates: Iterable[int],
-        dead: Iterable[int],
-        inc: int,
+        self, rank: int, phase: str, incarnation: int, key: Hashable,
+        candidates: Iterable[int], dead: Iterable[int],
     ) -> None:
         self._append(
             rank,
@@ -178,12 +175,13 @@ class ScheduleRecorder:
                 "key": _key_repr(key),
                 "candidates": sorted(candidates),
                 "dead": sorted(dead),
-                "inc": inc,
+                "inc": incarnation,
             },
         )
 
     def on_vote(
-        self, rank: int, phase: str | None, key: Hashable, value: Any, inc: int
+        self, rank: int, phase: str, incarnation: int, key: Hashable,
+        value: Any,
     ) -> None:
         self._append(
             rank,
@@ -192,30 +190,33 @@ class ScheduleRecorder:
                 "phase": phase,
                 "key": _key_repr(key),
                 "value": repr(value),
-                "inc": inc,
+                "inc": incarnation,
             },
         )
 
     # -- topology / fault path ---------------------------------------------
     def on_sub(
-        self, rank: int, phase: str | None, ranks: Iterable[int], inc: int
+        self, rank: int, phase: str, incarnation: int, ranks: Sequence[int]
     ) -> None:
         self._append(
             rank,
-            {"op": "sub", "phase": phase, "ranks": list(ranks), "inc": inc},
+            {"op": "sub", "phase": phase, "ranks": list(ranks), "inc": incarnation},
         )
 
-    def on_abort(self, rank: int, phase: str | None, task: int, inc: int) -> None:
+    def on_abort(
+        self, rank: int, phase: str, clock: Counts, incarnation: int, task: int
+    ) -> None:
         self._append(
-            rank, {"op": "abort", "phase": phase, "task": task, "inc": inc}
+            rank, {"op": "abort", "phase": phase, "task": task, "inc": incarnation}
         )
 
     def on_replacement(
-        self, rank: int, phase: str | None, purge: bool, inc: int
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        purge: bool = True,
     ) -> None:
         self._append(
             rank,
-            {"op": "replacement", "phase": phase, "purge": purge, "inc": inc},
+            {"op": "replacement", "phase": phase, "purge": purge, "inc": incarnation},
         )
 
     # -- extraction ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tracers: the machine-facing recording API.
 
-Two implementations share one interface:
+A machine has one observer slot, ``Machine(trace=...)``, and three
+implementations share its interface:
 
 - :data:`NULL_TRACER` (a plain :class:`Tracer`) — ``enabled`` is False and
   every hook is a no-op.  Machine hot paths guard each hook call with
@@ -11,6 +12,12 @@ Two implementations share one interface:
   rank's thread, so event order within a rank is deterministic and
   lock-free) and mirrors the aggregate view into a
   :class:`~repro.obs.metrics.MetricsRegistry`.
+- :class:`~repro.machine.record.ScheduleRecorder` — the ``commcheck``
+  extraction layer: it records the communication schedule through the
+  shared hooks (``on_send``, ``on_abort``, ``on_replacement``) and the
+  schedule hooks that only it implements (``on_deliver``,
+  ``on_modeled_send``, ``on_modeled_charge``, ``on_gate``,
+  ``on_agree_dead``, ``on_vote``, ``on_sub``).
 
 Virtual timestamps come from the rank's (F, BW, L) clock snapshot under
 the tracer's :class:`~repro.machine.costs.CostModel`:
@@ -21,7 +28,7 @@ on every run — thread scheduling cannot leak in.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.machine.costs import CostModel, Counts
 from repro.obs.events import (
@@ -42,11 +49,12 @@ __all__ = ["Tracer", "RecordingTracer", "NULL_TRACER", "make_tracer"]
 
 
 class Tracer:
-    """No-op tracer; the base of the recording one.
+    """No-op tracer; the base of every observer.
 
-    Hooks take the rank's clock *snapshot* (an immutable
+    Event hooks take the rank's clock *snapshot* (an immutable
     :class:`~repro.machine.costs.Counts`) so the recording tracer never
-    reads mutable machine state off-thread.
+    reads mutable machine state off-thread.  The schedule hooks at the
+    end carry no clock: the schedule records structure, not time.
     """
 
     #: Hot paths check this before snapshotting a clock or calling a hook.
@@ -94,12 +102,56 @@ class Tracer:
         pass
 
     def on_replacement(
-        self, rank: int, phase: str, clock: Counts, incarnation: int
+        self, rank: int, phase: str, clock: Counts, incarnation: int,
+        purge: bool = True,
     ) -> None:
         pass
 
     def on_abort(
         self, rank: int, phase: str, clock: Counts, incarnation: int, task: int
+    ) -> None:
+        pass
+
+    # -- schedule hooks (implemented by the ScheduleRecorder) --------------
+    def on_deliver(
+        self, rank: int, phase: str, incarnation: int, source: int, tag: int,
+        words: int, hops: int, modeled: bool, raw: bool,
+    ) -> None:
+        """A receive matched a message (before any charge; ``on_recv``
+        fires when it is charged)."""
+
+    def on_modeled_send(
+        self, rank: int, phase: str, incarnation: int, dest: int, tag: int
+    ) -> None:
+        """An uncharged transport leg of ``t_reduce``/``t_broadcast``."""
+
+    def on_modeled_charge(
+        self, rank: int, phase: str, incarnation: int, name: str,
+        group: Sequence[int], bw: int, l: int,
+    ) -> None:
+        """The Lemma 2.5 charge of a modeled collective (``on_collective``
+        is its marker event)."""
+
+    def on_gate(
+        self, rank: int, phase: str, incarnation: int, key: Hashable,
+        participants: Iterable[int],
+    ) -> None:
+        pass
+
+    def on_agree_dead(
+        self, rank: int, phase: str, incarnation: int, key: Hashable,
+        candidates: Iterable[int], dead: Iterable[int],
+    ) -> None:
+        pass
+
+    def on_vote(
+        self, rank: int, phase: str, incarnation: int, key: Hashable,
+        value: Any,
+    ) -> None:
+        pass
+
+    def on_sub(
+        self, rank: int, phase: str, incarnation: int, ranks: Sequence[int]
     ) -> None:
         pass
 
@@ -230,7 +282,7 @@ class RecordingTracer(Tracer):
         )
         self.metrics.inc("faults_total", kind=fault_kind)
 
-    def on_replacement(self, rank, phase, clock, incarnation):
+    def on_replacement(self, rank, phase, clock, incarnation, purge=True):
         self._record(EV_REPLACEMENT, rank, phase, clock, incarnation)
         self.metrics.inc("replacements_total")
 

@@ -1,6 +1,11 @@
-"""Nested sub-communicator rank translation and schedule recording."""
+"""Nested sub-communicator rank translation, re-entry and schedule
+recording."""
+
+import pytest
 
 from repro.machine.engine import Machine
+from repro.machine.errors import HardFault, PeerDead
+from repro.machine.fault import FaultEvent, FaultSchedule
 from repro.machine.record import ScheduleRecorder
 
 
@@ -65,7 +70,7 @@ class TestNestedSub:
                 outer.sub([0, 2])  # local indices into outer -> global 0, 2
             return None
 
-        result = Machine(3, recorder=recorder).run(program)
+        result = Machine(3, trace=recorder).run(program)
         assert result.ok
         ops = recorder.ops()
         sub_events = [op for op in ops[0] if op["op"] == "sub"]
@@ -81,10 +86,45 @@ class TestNestedSub:
                 return None
             return group.recv(0, tag=5)
 
-        result = Machine(2, recorder=recorder).run(program)
+        result = Machine(2, trace=recorder).run(program)
         assert result.ok
         sends = [op for op in recorder.ops()[0] if op["op"] == "send"]
         recvs = [op for op in recorder.ops()[1] if op["op"] == "recv"]
         # Recorded peers are global ranks, matching the checker's channels.
         assert sends and sends[0]["peer"] == 1 and sends[0]["tag"] == 5
         assert recvs and recvs[0]["peer"] == 0 and recvs[0]["tag"] == 5
+
+
+class TestReplacementThroughSub:
+    """A rank re-entering through a sub-communicator keeps or drops the
+    message a peer posted to it before the fault, as ``purge`` says."""
+
+    @staticmethod
+    def reenter(purge):
+        def program(comm):
+            sub = comm.sub([0, 1])
+            if comm.rank == 0:
+                sub.send(1, "in-flight", tag=5)
+                sub.gate("posted", [0, 1])
+                return None
+            sub.gate("posted", [0, 1])
+            try:
+                with comm.phase("work"):
+                    comm.charge_flops(1)
+            except HardFault:
+                sub.begin_replacement(purge=purge)
+            try:
+                return sub.recv(0, tag=5), sub.incarnation
+            except PeerDead:
+                return "purged", sub.incarnation
+
+        sched = FaultSchedule([FaultEvent(1, "work", 0)])
+        return Machine(2, fault_schedule=sched, timeout=10).run(program)
+
+    @pytest.mark.parametrize(
+        "purge, received", [(False, "in-flight"), (True, "purged")]
+    )
+    def test_purge_is_forwarded(self, purge, received):
+        result = self.reenter(purge)
+        assert result.results[1] == (received, 1)
+

@@ -2,16 +2,13 @@
 artifacts, and tracing never perturbs the measured costs.
 
 Virtual timestamps come from logical clocks and per-rank streams are
-appended in program order, so thread scheduling cannot leak into an
-event's timestamp or a rank's event order.  Whole-trace byte-identity
-additionally needs the run's *communication pattern* to be
-schedule-independent; that holds for any campaign without asynchronous
-death detection (delay/soft faults, or hard faults whose recovery is
-synchronous).  For the full FT algorithm under hard faults, surviving
-ranks may legally complete a few more or fewer operations before
-noticing a death, so there the deterministic forensics are the
-aggregates — critical path, phase costs, fault log — which is what the
-last test class pins down (see docs/OBSERVABILITY.md).
+appended in program order, so no event's timestamp or a rank's event
+order depends on the host.  The simulator's scheduler runs one rank at a
+time in a fixed order, so the whole schedule — including when a
+surviving rank notices a death — is a function of the program and the
+fault schedule.  Every campaign therefore exports byte-identical files,
+hard faults through the full FT algorithm included (see
+docs/OBSERVABILITY.md).
 """
 
 import pytest
@@ -118,8 +115,8 @@ class TestDelayCampaignThroughFullAlgorithm:
 
 
 class TestHardFaultCampaignForensics:
-    """Hard faults through the full algorithm: detection is
-    asynchronous, so the deterministic forensics are the aggregates."""
+    """Hard faults through the full algorithm: costs, fault and recovery
+    events, and whole exports are reproducible."""
 
     @staticmethod
     def campaign():
@@ -153,6 +150,19 @@ class TestHardFaultCampaignForensics:
         assert any(e.phase == "recovery" for e in events)
         assert out.run.metrics.counter("recovery_words_total") > 0
         assert out.run.trace.recovery_words_per_fault() > 0
+
+    @pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
+    def test_byte_identical_exports(self, tmp_path, fmt):
+        runs = [
+            multiply_fault_tolerant(
+                A, B, p=9, k=2, f=1, word_bits=32,
+                fault_schedule=self.campaign(), trace=True,
+            ).run
+            for _ in range(2)
+        ]
+        a, b = dump_pair(tmp_path, fmt, runs)
+        assert a.read_bytes() == b.read_bytes()
+        assert len(runs[0].trace) > 0
 
     def test_same_run_exports_are_byte_stable(self, tmp_path):
         run = multiply_fault_tolerant(
