@@ -74,6 +74,16 @@ class FaultEvent:
             raise ValueError("delay factor must exceed 1")
 
 
+def _by_key(
+    events: Sequence[FaultEvent],
+) -> dict[tuple[str, int, int], list[FaultEvent]]:
+    """Group ``events`` by ``(kind, rank, incarnation)``, keeping order."""
+    index: dict[tuple[str, int, int], list[FaultEvent]] = {}
+    for ev in events:
+        index.setdefault((ev.kind, ev.rank, ev.incarnation), []).append(ev)
+    return index
+
+
 class FaultSchedule:
     """A deterministic set of fault events, consumed as ranks execute."""
 
@@ -81,6 +91,9 @@ class FaultSchedule:
         self._lock = threading.Lock()
         self._events: list[FaultEvent] = list(events or [])  # guarded-by: _lock
         self._fired: list[FaultEvent] = []  # guarded-by: _lock
+        #: ``(kind, rank, incarnation)`` -> that key's pending events in
+        #: ``_events`` order, so a fault point scans only its own events.
+        self._index = _by_key(self._events)  # guarded-by: _lock
 
     @property
     def events(self) -> list[FaultEvent]:
@@ -95,6 +108,9 @@ class FaultSchedule:
     def add(self, event: FaultEvent) -> None:
         with self._lock:
             self._events.append(event)
+            self._index.setdefault(
+                (event.kind, event.rank, event.incarnation), []
+            ).append(event)
 
     def should_fail(
         self,
@@ -115,16 +131,19 @@ class FaultSchedule:
         incarnation: int,
         kind: str = "hard",
     ) -> FaultEvent | None:
-        """Consume and return a matching fault event (None if no match)."""
+        """Consume and return the first pending event matching ``kind``,
+        ``rank``, ``incarnation``, ``phase`` (or ``"*"``) and ``op_index``
+        (None if no match)."""
         with self._lock:
-            for ev in self._events:
-                if (
-                    ev.kind == kind
-                    and ev.rank == rank
-                    and ev.incarnation == incarnation
-                    and (ev.phase == "*" or ev.phase == phase)
-                    and ev.op_index == op_index
-                ):
+            key = (kind, rank, incarnation)
+            bucket = self._index.get(key)
+            if bucket is None:
+                return None
+            for ev in bucket:
+                if ev.op_index == op_index and (ev.phase == "*" or ev.phase == phase):
+                    bucket.remove(ev)
+                    if not bucket:
+                        del self._index[key]
                     self._events.remove(ev)
                     self._fired.append(ev)
                     return ev
@@ -144,6 +163,11 @@ class FaultSchedule:
                 if ev in self._events:
                     self._events.remove(ev)
                     self._fired.append(ev)
+                    key = (ev.kind, ev.rank, ev.incarnation)
+                    bucket = self._index[key]
+                    bucket.remove(ev)
+                    if not bucket:
+                        del self._index[key]
 
     def __getstate__(self) -> dict[str, Any]:
         # Locks do not pickle; rank processes rebuild their own.
@@ -154,6 +178,7 @@ class FaultSchedule:
         self._lock = threading.Lock()
         self._events = list(state["events"])  # guarded-by: _lock
         self._fired = list(state["fired"])  # guarded-by: _lock
+        self._index = _by_key(self._events)  # guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:

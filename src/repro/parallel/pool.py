@@ -40,8 +40,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -257,9 +255,14 @@ class _PoolRun:
     """State of one parallel :meth:`WorkerPool.run` invocation."""
 
     def __init__(self, pool: WorkerPool, tasks: list[Task]):
+        # Imported here: a ``jobs=1`` pool starts no process and does not
+        # pay for ``multiprocessing``.
+        from multiprocessing import connection, get_context
+
         self.pool = pool
         self.tasks = tasks
         self.ctx = get_context(pool._start_method or start_method())
+        self.wait = connection.wait
         self.scale = timeout_scale()
         self.pending: deque[int] = deque(range(len(tasks)))
         self.attempts = [0] * len(tasks)
@@ -432,9 +435,7 @@ class _PoolRun:
                 if not busy:
                     # Every outstanding task just failed for good.
                     break
-                ready = mp_connection.wait(
-                    list(busy), timeout=self._wait_timeout()
-                )
+                ready = self.wait(list(busy), timeout=self._wait_timeout())
                 for conn in ready:
                     worker = busy[conn]
                     if worker.current is not None:

@@ -17,10 +17,12 @@ instead of leaking orphans.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.util.env import start_method
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 __all__ = ["spawn_process"]
 
@@ -29,7 +31,7 @@ def spawn_process(
     target: Callable[..., Any],
     args: tuple = (),
     name: str | None = None,
-) -> multiprocessing.process.BaseProcess:
+) -> BaseProcess:
     """Start ``target(*args)`` in a fresh daemon process and return it.
 
     ``target`` and ``args`` must be picklable under the configured start
@@ -38,6 +40,8 @@ def spawn_process(
     handle: join or kill it; the daemon flag is only the last-resort
     orphan guard.
     """
+    import multiprocessing
+
     ctx = multiprocessing.get_context(start_method())
     process = ctx.Process(target=target, args=args, name=name, daemon=True)
     process.start()

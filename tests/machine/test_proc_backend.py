@@ -213,9 +213,13 @@ class TestPortRange:
             second.close()
 
     def test_exhausted_range_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PORT_RANGE", "49520-49520")
+        # Hold a kernel-assigned port, then offer only that one: a fixed
+        # port could already be taken by someone else's ephemeral bind.
+        monkeypatch.delenv("REPRO_PORT_RANGE", raising=False)
         only = wire.bind_listener(4)
         try:
+            port = only.getsockname()[1]
+            monkeypatch.setenv("REPRO_PORT_RANGE", f"{port}-{port}")
             with pytest.raises(OSError, match="REPRO_PORT_RANGE"):
                 wire.bind_listener(4)
         finally:

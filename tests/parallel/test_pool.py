@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.parallel import Task, TaskFailure, WorkerPool, WorkerPoolError, parallel_map
 
 from . import _workers as w
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestConstruction:
@@ -52,6 +59,23 @@ class TestSerialPath:
         assert pool.metrics.counter("pool_tasks_total", key="d3", outcome="ok") == 1
         hist = pool.metrics.histogram("pool_task_seconds", key="d3")
         assert hist is not None and hist.count == 1
+
+    def test_does_not_import_multiprocessing(self):
+        # A fresh interpreter: this one has long since imported it.
+        code = (
+            "import sys\n"
+            "from repro.parallel import Task, WorkerPool\n"
+            "assert WorkerPool(jobs=1).run([Task(fn=abs, args=(-2,))]) == [2]\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestParallelOrdering:
