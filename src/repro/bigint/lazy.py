@@ -20,10 +20,9 @@ is charged, not walked.
 
 from __future__ import annotations
 
-from repro.bigint.blockops import BlockOperator
+from repro.bigint.blockops import toom_block_operators
 from repro.bigint.evalpoints import toom_points
 from repro.bigint.limbs import LimbVector
-from repro.bigint.matrices import toom_operators
 from repro.bigint.split import lazy_depth, split_lazy
 from repro.util.validation import check_positive
 
@@ -48,9 +47,8 @@ class LazyToomCook:
         check_positive("threshold_bits", threshold_bits)
         self.k = k
         self.threshold_bits = threshold_bits
-        u, _, w_t = toom_operators(k, toom_points(k))
-        self.U = self.V = BlockOperator.compile(u.rows)
-        self.W_T = BlockOperator.compile(w_t.rows)
+        self.U, self.W_T = toom_block_operators(k, tuple(toom_points(k)))
+        self.V = self.U
 
     def multiply(self, a: int, b: int, depth: int | None = None) -> tuple[int, int]:
         """Return ``(a*b, flops)``."""

@@ -12,47 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from repro.bigint.blockops import clear_operator_cache, toom_block_operators
 from repro.bigint.evalpoints import EvalPoint, toom_points
-from repro.bigint.matrices import toom_operators
 from repro.bigint.split import split_shared_base
-from repro.util.rational import mat_vec
 from repro.util.validation import check_positive
 from repro.util.words import bits_to_words
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.kernels import KernelCounters
 
-__all__ = ["ToomCook", "toom_cost", "cached_toom_operators", "clear_operator_cache"]
-
-#: Evaluation/interpolation operator triples (U, V, W^T) keyed by
-#: ``(k, points)``.  Building them means assembling and inverting a
-#: (2k-1)x(2k-1) rational Vandermonde system, so instances sharing the
-#: same geometry (every benchmark loop, every simulated rank) reuse one
-#: triple.  Worst case under concurrent construction is a duplicate
-#: compute of an immutable value — never a wrong one.
-_OPERATOR_CACHE: dict[tuple, tuple] = {}
-
-
-def cached_toom_operators(
-    k: int,
-    points: list[EvalPoint],
-    counters: "KernelCounters | None" = None,
-):
-    """``toom_operators(k, points)`` through the process-wide cache,
-    recording the hit/miss into ``counters`` when given."""
-    key = (k, tuple(points))
-    ops = _OPERATOR_CACHE.get(key)
-    if counters is not None:
-        counters.note_eval_cache(hit=ops is not None)
-    if ops is None:
-        ops = toom_operators(k, points)
-        _OPERATOR_CACHE[key] = ops
-    return ops
-
-
-def clear_operator_cache() -> None:
-    """Drop every cached operator triple (test isolation hook)."""
-    _OPERATOR_CACHE.clear()
+# ``clear_operator_cache`` is re-exported for existing importers.
+__all__ = ["ToomCook", "toom_cost", "clear_operator_cache"]
 
 
 class ToomCook:
@@ -94,21 +64,26 @@ class ToomCook:
         self.threshold_bits = threshold_bits
         self.points = list(points) if points is not None else toom_points(k)
         self.counters = counters
-        self.U, self.V, self.W_T = cached_toom_operators(k, self.points, counters)
+        (self.U, self.W_T), hit = toom_block_operators.lookup(k, tuple(self.points))
+        self.V = self.U
+        if counters is not None:
+            counters.note_eval_cache(hit=hit)
         self.interpolation = interpolation
         if interpolation == "sequence":
             # Remark 4.1: interpolate by an inversion sequence of
             # elementary row operations (Toom-Graph, Definition 2.3)
             # instead of a dense matrix product.
+            from repro.bigint.matrices import interpolation_matrix
             from repro.bigint.toomgraph import (
                 inversion_sequence,
                 toom_graph_search,
             )
 
+            w_t = interpolation_matrix(self.points[: 2 * k - 1], k)
             if k == 2:
-                self._inv_seq = toom_graph_search(self.W_T, max_nodes=4000)
+                self._inv_seq = toom_graph_search(w_t, max_nodes=4000)
             else:
-                self._inv_seq = inversion_sequence(self.W_T)
+                self._inv_seq = inversion_sequence(w_t)
         else:
             self._inv_seq = None
         self.evaluation = evaluation
@@ -161,10 +136,9 @@ class ToomCook:
             b_evals = self._eval_plan.apply(list(vb.limbs))
             flops = 2 * self._eval_plan.word_ops() * digit_words
         else:
-            a_evals = mat_vec(self.U.rows, list(va.limbs))
-            b_evals = mat_vec(self.V.rows, list(vb.limbs))
-            flops = 2 * self._nnz(self.U) * digit_words  # U and V cost the same
-            flops += 2 * self._nnz(self.V) * digit_words
+            a_evals = self.U.apply(va.limbs)
+            b_evals = self.V.apply(vb.limbs)
+            flops = 4 * self.U.nonzeros() * digit_words  # U and V cost the same
 
         # Pointwise products (lines 8-14), recursing when needed.
         m = 2 * k - 1
@@ -185,8 +159,14 @@ class ToomCook:
             coeffs = apply_inversion_sequence(self._inv_seq, c_evals)
             flops += self._sequence_word_ops() * product_words
         else:
-            coeffs = mat_vec(self.W_T.rows, c_evals)
-            flops += 2 * self._nnz(self.W_T) * product_words
+            try:
+                coeffs = self.W_T.apply(c_evals)
+            except ValueError as exc:
+                raise ArithmeticError(
+                    "interpolation produced a non-integer coefficient: "
+                    f"{exc} (invalid evaluation points?)"
+                ) from exc
+            flops += 2 * self.W_T.nonzeros() * product_words
 
         # Carry resolution (line 16): accumulate coeff_i * B^i.
         acc = 0
@@ -200,10 +180,6 @@ class ToomCook:
             acc += int(c) << (i * base_bits)
         flops += m * product_words
         return acc, flops
-
-    @staticmethod
-    def _nnz(matrix) -> int:
-        return sum(1 for row in matrix.rows for v in row if v)
 
     def _sequence_word_ops(self) -> int:
         """Word operations per limb for one inversion-sequence pass:

@@ -12,24 +12,37 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from repro.bigint.blockops import GeometryCache
 from repro.coding.linear import SystematicCode
 from repro.util.rational import mat_inverse
 
 __all__ = ["reconstruct_erasures", "recovery_coefficients"]
 
+Coefficients = Mapping[int, Mapping[int, Fraction]]
+
 
 def recovery_coefficients(
     code: SystematicCode, survivors: Sequence[int], lost: Sequence[int]
-) -> dict[int, dict[int, Fraction]]:
+) -> Coefficients:
     """Exact coefficients expressing each lost *data* coordinate as a
     linear combination of surviving codeword coordinates.
 
     ``survivors``/``lost`` index codeword positions (``0..k-1`` data,
     ``k..k+f-1`` redundancy).  Exactly ``k`` survivors must be supplied;
-    returns ``{lost_data_index: {survivor_index: coefficient}}``.
+    returns ``{lost_data_index: {survivor_index: coefficient}}``.  The
+    solve runs once per ``(code, survivors, lost)`` and process; the
+    read-only result is shared by every caller.
     """
+    return _recovery_coefficients(code, tuple(survivors), tuple(lost))
+
+
+@GeometryCache
+def _recovery_coefficients(
+    code: SystematicCode, survivors: tuple[int, ...], lost: tuple[int, ...]
+) -> Coefficients:
     k = code.k
     if len(survivors) != k:
         raise ValueError(f"need exactly {k} survivors, got {len(survivors)}")
@@ -42,17 +55,14 @@ def recovery_coefficients(
     # Rows of G for the survivors: survivor values = G_s @ data.
     g_s = [list(g[i]) for i in survivors]
     inv = mat_inverse(g_s)  # data = inv @ survivor values
-    out: dict[int, dict[int, Fraction]] = {}
+    out: dict[int, Mapping[int, Fraction]] = {}
     for idx in lost:
         if idx >= k:
             continue  # lost redundancy is re-encoded, not solved for
-        coeffs = {
-            survivors[j]: inv[idx][j]
-            for j in range(k)
-            if inv[idx][j] != 0
-        }
-        out[idx] = coeffs
-    return out
+        out[idx] = MappingProxyType(
+            {survivors[j]: inv[idx][j] for j in range(k) if inv[idx][j] != 0}
+        )
+    return MappingProxyType(out)
 
 
 def reconstruct_erasures(

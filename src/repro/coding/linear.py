@@ -43,6 +43,19 @@ class SystematicCode:
         self.k = k
         self.f = f
         self.E = vandermonde_matrix(f, k, nodes)
+        #: ``E`` as integer rows (a Vandermonde matrix over integer nodes
+        #: is integral), computed once per code for encoding.
+        self.weights = tuple(tuple(int(c) for c in row) for row in self.E.rows)
+
+    def __eq__(self, other: object) -> bool:
+        # The weights fix k, f and E, so equal weights mean equal codes
+        # (the erasure-coefficient cache keys on the code's value).
+        if isinstance(other, SystematicCode):
+            return self.weights == other.weights
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.weights)
 
     @property
     def n(self) -> int:
@@ -73,10 +86,9 @@ class SystematicCode:
         if len(data) != self.k:
             raise ValueError(f"expected {self.k} data words, got {len(data)}")
         out = []
-        for row in self.E.rows:
+        for row in self.weights:
             acc = None
-            for coef, x in zip(row, data):
-                c = int(coef)  # Vandermonde over integer nodes is integral
+            for c, x in zip(row, data):
                 if c == 0:
                     continue
                 term = x * c
@@ -93,7 +105,7 @@ class SystematicCode:
     def encode_flops(self, word_len: int) -> int:
         """Arithmetic cost model of :meth:`encode`: one multiply-accumulate
         per nonzero coefficient per word."""
-        nnz = sum(1 for row in self.E.rows for v in row if v)
+        nnz = sum(1 for row in self.weights for v in row if v)
         return 2 * nnz * word_len
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

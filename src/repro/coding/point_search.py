@@ -12,12 +12,18 @@ Testing ``q_P(x) != 0`` for one candidate is exactly "is
 ``S ∪ {x}`` still in general position?", so the implementation reuses the
 exhaustive :func:`~repro.coding.general_position.is_general_position`
 check per candidate — same asymptotics, simpler code.
+
+The search depends only on ``(k, l, f, limit)``, so
+:func:`multistep_evaluation_points` runs it once per process through the
+geometry cache (:class:`~repro.bigint.blockops.GeometryCache`) and hands
+every caller the same immutable tuple.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from repro.bigint.blockops import GeometryCache
 from repro.bigint.evalpoints import EvalPoint, toom_points
 from repro.bigint.multivariate import evaluation_matrix_multivariate, grid_points
 from repro.coding.general_position import is_general_position
@@ -117,21 +123,24 @@ def find_redundant_points(
 
 def multistep_evaluation_points(
     k: int, l: int, f: int, limit: int = 12
-) -> list[MultiPoint]:
+) -> tuple[MultiPoint, ...]:
     """The ``(2k-1)**l + f`` evaluation points of fault-tolerant
     ``l``-step Toom-Cook-k (Section 6.1).
 
     The base grid is ``S^l`` for the standard univariate points ``S``
     (in ``(2k-1, l)``-general position by Claim 2.2, since the grid's
     evaluation matrix is the Kronecker power of an invertible one); the
-    ``f`` extras come from the search heuristic.
+    ``f`` extras come from the search heuristic.  The search runs once
+    per ``(k, l, f, limit)`` and process; the tuple is shared.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     check_positive("l", l)
     check_non_negative("f", f)
+    return _multistep_points(k, l, f, limit)
+
+
+@GeometryCache
+def _multistep_points(k: int, l: int, f: int, limit: int) -> tuple[MultiPoint, ...]:
     base = grid_points(toom_points(k), l)
-    if f == 0:
-        return base
-    extras = find_redundant_points(base, 2 * k - 1, l, f, limit)
-    return base + extras
+    return tuple(base + find_redundant_points(base, 2 * k - 1, l, f, limit))

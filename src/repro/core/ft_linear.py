@@ -104,7 +104,7 @@ class ColumnCode:
             if state is None:
                 raise ValueError("standard members must supply their state")
             contributions = {
-                len(self.column) + i: state * int(self.code.E[i][cls])
+                len(self.column) + i: state * self.code.weights[i][cls]
                 for i in range(self.f)
             }
         else:

@@ -28,10 +28,13 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks
+from repro.bigint.blockops import (
+    BlockOperator,
+    apply_matrix_to_blocks,
+    interpolation_operator,
+)
 from repro.bigint.evalpoints import extended_toom_points
 from repro.bigint.limbs import LimbVector
-from repro.bigint.matrices import interpolation_matrix_for_points
 from repro.core.layout import CyclicLayout, cyclic_deinterleave, cyclic_merge
 from repro.core.parallel_toomcook import (
     TAG_BFS_DOWN,
@@ -42,7 +45,6 @@ from repro.core.parallel_toomcook import (
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import DeadlockError, HardFault, MachineError, PeerDead
 from repro.machine.fault import FaultSchedule
-from repro.util.rational import FractionMatrix
 
 __all__ = ["PolynomialCodedToomCook", "ColumnKilled", "FaultToleranceExceeded"]
 
@@ -129,8 +131,6 @@ class PolynomialCodedToomCook(ParallelToomCook):
         # Global rank at which the poly-code columns start (the combined
         # algorithm moves this past its linear-code rows).
         self._poly_code_base = plan.p
-        # Compiled decoders, keyed by the chosen columns.
-        self._decoders: dict[tuple[int, ...], BlockOperator] = {}
 
     # -- machine geometry ---------------------------------------------------
     def machine_size(self) -> int:
@@ -415,17 +415,11 @@ class PolynomialCodedToomCook(ParallelToomCook):
 
     def _decoder(self, chosen) -> BlockOperator:
         """The compiled inverse evaluation matrix of the chosen columns'
-        points (cached: fault-free runs always choose the same ones)."""
-        key = tuple(chosen)
-        op = self._decoders.get(key)
-        if op is None:
-            op = BlockOperator.compile(self._interpolation_matrix(key).rows)
-            self._decoders[key] = op
-        return op
-
-    def _interpolation_matrix(self, chosen: tuple[int, ...]) -> FractionMatrix:
-        points = [self.points[j] for j in chosen]
-        return interpolation_matrix_for_points(points, self.plan.q)
+        points, from the process-wide geometry cache keyed by those
+        points: fault-free runs always choose the same columns, and every
+        instance with the same points shares one decoder."""
+        points = tuple(self.points[j] for j in chosen)
+        return interpolation_operator(points, self.plan.q)
 
     # -- assembly ------------------------------------------------------------------
     def multiply(self, a: int, b: int, raise_on_error: bool = True) -> MultiplyOutcome:

@@ -23,7 +23,13 @@ from __future__ import annotations
 
 import math
 
-from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
+from repro.bigint.blockops import (
+    BlockOperator,
+    GeometryCache,
+    apply_matrix_to_blocks,
+    overlap_add,
+)
+from repro.bigint.evalpoints import EvalPoint
 from repro.bigint.limbs import LimbVector
 from repro.bigint.multivariate import evaluation_matrix_multivariate, monomials
 from repro.coding.point_search import multistep_evaluation_points
@@ -31,7 +37,6 @@ from repro.core.ft_polynomial import PolynomialCodedToomCook
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.fault import FaultSchedule
-from repro.util.rational import FractionMatrix
 
 __all__ = ["MultiStepToomCook"]
 
@@ -43,6 +48,28 @@ def _digit_reverse(index: int, base: int, length: int) -> int:
         out = out * base + index % base
         index //= base
     return out
+
+
+MultiPoints = tuple[tuple[EvalPoint, ...], ...]
+
+
+@GeometryCache
+def _coded_operator(k: int, l: int, points: MultiPoints) -> BlockOperator:
+    """The coded step's operator: the ``Poly_{k,l}`` evaluation matrix of
+    ``points`` with its columns permuted to block order (block ``b`` is
+    the monomial with the digit-reversed index)."""
+    eval_m = evaluation_matrix_multivariate(points, k, l)
+    perm = [_digit_reverse(j, k, l) for j in range(k**l)]
+    return BlockOperator.compile(
+        [[row[perm.index(b)] for b in range(k**l)] for row in eval_m.rows]
+    )
+
+
+@GeometryCache
+def _multivariate_decoder(points: MultiPoints, r: int, l: int) -> BlockOperator:
+    """Compiled inverse of the ``Poly_{r,l}`` evaluation matrix of
+    ``r**l`` chosen columns' points."""
+    return BlockOperator.compile(evaluation_matrix_multivariate(points, r, l).inv().rows)
 
 
 class MultiStepToomCook(PolynomialCodedToomCook):
@@ -95,17 +122,8 @@ class MultiStepToomCook(PolynomialCodedToomCook):
         self.multi_points = multistep_evaluation_points(
             plan.k, l, f, limit=point_search_limit
         )
-        # Evaluation matrix for the operands (Poly_{k,l}), with columns
-        # permuted to match block order (block b <-> monomial with the
-        # digit-reversed index).
-        eval_m = evaluation_matrix_multivariate(self.multi_points, plan.k, l)
-        perm = [_digit_reverse(j, plan.k, l) for j in range(plan.k**l)]
         self._configure_code(
-            f,
-            BlockOperator.compile(
-                [[row[perm.index(b)] for b in range(plan.k**l)] for row in eval_m.rows]
-            ),
-            levels=l,
+            f, _coded_operator(plan.k, l, self.multi_points), levels=l
         )
         # The coefficient block of each Poly_{2k-1,l} monomial lands at
         # its univariate offset sum_i e_i * n/k**(i+1), in local words
@@ -117,9 +135,11 @@ class MultiStepToomCook(PolynomialCodedToomCook):
         ]
 
     # -- multivariate decoding ---------------------------------------------------
-    def _interpolation_matrix(self, chosen: tuple[int, ...]) -> FractionMatrix:
-        points = [self.multi_points[j] for j in chosen]
-        return evaluation_matrix_multivariate(points, self.plan.q, self.l).inv()
+    def _decoder(self, chosen) -> BlockOperator:
+        """The compiled inverse multivariate evaluation matrix of the
+        chosen columns' points (geometry cache, keyed by the points)."""
+        points = tuple(self.multi_points[j] for j in chosen)
+        return _multivariate_decoder(points, self.plan.q, self.l)
 
     # repro-lint: in-phase -- runs inside the caller's phase context
     def _interpolate_columns(

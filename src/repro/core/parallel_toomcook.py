@@ -31,11 +31,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks, overlap_add
+from repro.bigint.blockops import (
+    BlockOperator,
+    apply_matrix_to_blocks,
+    overlap_add,
+    toom_block_operators,
+)
 from repro.bigint.evalpoints import EvalPoint, toom_points
 from repro.bigint.lazy import LazyToomCook
 from repro.bigint.limbs import LimbVector
-from repro.bigint.matrices import toom_operators
 from repro.core.layout import CyclicLayout, cyclic_deinterleave, cyclic_merge
 from repro.core.plan import ExecutionPlan
 from repro.machine.engine import Machine, RunResult
@@ -97,9 +101,8 @@ class ParallelToomCook:
         if trace is not None:
             self.trace = trace
         self.points = list(points) if points else toom_points(plan.k)
-        u, _, w_t = toom_operators(plan.k, self.points)
-        self.U = self.V = BlockOperator.compile(u.rows)
-        self.W_T = BlockOperator.compile(w_t.rows)
+        self.U, self.W_T = toom_block_operators(plan.k, tuple(self.points))
+        self.V = self.U
         self.grid = ProcessorGrid(plan.p, plan.q)
         self.memory_words = memory_words
         self.fault_schedule = fault_schedule

@@ -27,9 +27,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from repro.bigint.blockops import BlockOperator, apply_matrix_to_blocks
+from repro.bigint.blockops import apply_matrix_to_blocks, evaluation_operator
 from repro.bigint.limbs import LimbVector
-from repro.bigint.matrices import evaluation_matrix
 from repro.core.ft_polynomial import PolynomialCodedToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import MachineError
@@ -143,9 +142,9 @@ class SoftTolerantToomCook(PolynomialCodedToomCook):
     def _agreement(self, comm, coeffs, collected, live) -> int:
         """How many live columns' results match the candidate product's
         evaluation at their points."""
-        eval_m = evaluation_matrix([self.points[j] for j in live], self.plan.q)
+        points = tuple(self.points[j] for j in live)
         expected, flops = apply_matrix_to_blocks(
-            BlockOperator.compile(eval_m.rows), coeffs
+            evaluation_operator(points, self.plan.q), coeffs
         )
         comm.charge_flops(flops)
         return sum(1 for j, exp in zip(live, expected) if collected[j] == exp)

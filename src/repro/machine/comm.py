@@ -397,18 +397,16 @@ class Communicator:
         start running slow if a delay event matches."""
         op = self._phase_ops
         self._phase_ops += 1
-        schedule = self._state.fault_schedule
-        delay = schedule.take(
-            self.rank, self.current_phase, op, self.incarnation, kind="delay"
+        phase, incarnation = self.current_phase, self.incarnation
+        delay, hard = self._state.fault_schedule.take_machine_op(
+            self.rank, phase, op, incarnation
         )
         if delay is not None:
             self.slowdown = max(self.slowdown, delay.factor)
             self._state.fault_log.record(
-                self.rank, self.current_phase, op, self.incarnation, kind="delay"
+                self.rank, phase, op, incarnation, kind="delay"
             )
-        if schedule.should_fail(
-            self.rank, self.current_phase, op, self.incarnation
-        ):
+        if hard is not None:
             self._die(op)
 
     def soft_fault_point(self) -> bool:

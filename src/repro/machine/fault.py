@@ -134,20 +134,44 @@ class FaultSchedule:
         """Consume and return the first pending event matching ``kind``,
         ``rank``, ``incarnation``, ``phase`` (or ``"*"``) and ``op_index``
         (None if no match)."""
+        return self._take((kind,), rank, phase, op_index, incarnation)[0]
+
+    def take_machine_op(
+        self, rank: int, phase: str, op_index: int, incarnation: int
+    ) -> tuple[FaultEvent | None, FaultEvent | None]:
+        """The ``(delay, hard)`` events matching one machine op, consumed
+        in one locked pass: the same events, in the same order, as
+        ``take(kind="delay")`` followed by ``take(kind="hard")``."""
+        delay, hard = self._take(("delay", "hard"), rank, phase, op_index, incarnation)
+        return delay, hard
+
+    def _take(
+        self,
+        kinds: tuple[str, ...],
+        rank: int,
+        phase: str,
+        op_index: int,
+        incarnation: int,
+    ) -> list[FaultEvent | None]:
+        """For each of ``kinds`` in order, consume the first matching
+        pending event (or None), all under one acquisition of the lock."""
+        out: list[FaultEvent | None] = []
         with self._lock:
-            key = (kind, rank, incarnation)
-            bucket = self._index.get(key)
-            if bucket is None:
-                return None
-            for ev in bucket:
-                if ev.op_index == op_index and (ev.phase == "*" or ev.phase == phase):
-                    bucket.remove(ev)
-                    if not bucket:
-                        del self._index[key]
-                    self._events.remove(ev)
-                    self._fired.append(ev)
-                    return ev
-        return None
+            for kind in kinds:
+                key = (kind, rank, incarnation)
+                bucket = self._index.get(key, [])
+                match = None
+                for ev in bucket:
+                    if ev.op_index == op_index and (ev.phase == "*" or ev.phase == phase):
+                        match = ev
+                        bucket.remove(ev)
+                        if not bucket:
+                            del self._index[key]
+                        self._events.remove(ev)
+                        self._fired.append(ev)
+                        break
+                out.append(match)
+        return out
 
     def absorb_fired(self, fired: Sequence[FaultEvent]) -> None:
         """Reconcile fires observed in another process into this schedule.
@@ -199,9 +223,9 @@ class ProbingFaultSchedule(FaultSchedule):
     program actually exposes: for every ``(rank, phase)`` it accumulates
     the set of op indices at which a fault event *could* have matched.
     Hard and delay events share the machine-op counter
-    (:meth:`Communicator.fault_point` checks both at every op), so both
-    are recorded under the ``"machine"`` domain; soft checks run on their
-    own counter and land under ``"soft"``.
+    (:meth:`Communicator.fault_point` checks both at every op, in one
+    lookup), so the op is recorded once under the ``"machine"`` domain;
+    soft checks run on their own counter and land under ``"soft"``.
 
     :meth:`observed` returns the measured space in a deterministic order;
     :mod:`repro.campaign.probe` turns it into an :class:`~repro.campaign.probe.OpSpace`
@@ -213,18 +237,18 @@ class ProbingFaultSchedule(FaultSchedule):
         # (rank, phase, domain) -> op indices seen at that fault point.
         self._observed: dict[tuple[int, str, str], set[int]] = {}  # guarded-by: _lock
 
-    def take(
+    def _take(
         self,
+        kinds: tuple[str, ...],
         rank: int,
         phase: str,
         op_index: int,
         incarnation: int,
-        kind: str = "hard",
-    ) -> FaultEvent | None:
-        domain = "soft" if kind == "soft" else "machine"
+    ) -> list[FaultEvent | None]:
+        domain = "soft" if kinds == ("soft",) else "machine"
         with self._lock:
             self._observed.setdefault((rank, phase, domain), set()).add(op_index)
-        return None
+        return [None for _ in kinds]
 
     def observed(self) -> dict[tuple[int, str, str], tuple[int, ...]]:
         """Measured op space: ``(rank, phase, domain) -> sorted op tuple``."""

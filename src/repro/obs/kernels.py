@@ -19,8 +19,8 @@ series:
 - ``kernel_recursion_depth{kernel=...}`` — maximum split depth (gauge);
 - ``kernel_eval_cache_hits_total{kernel=...}`` /
   ``kernel_eval_cache_misses_total{kernel=...}`` — evaluation-operator
-  cache effectiveness (Toom-Cook only; the U/V/W^T triples are shared
-  across instances with the same ``(k, points)``).
+  cache effectiveness (Toom-Cook only; the compiled U/W^T come from the
+  process-wide geometry cache, keyed by ``(k, points)``).
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ kinds, then interleaves ``take`` with ``add``, ``absorb_fired`` and a
 pickle round trip (the process backend ships schedules to its ranks that
 way).  After every step both must agree on the returned event and on the
 ``events``/``fired`` views.
+
+A machine op checks the delay and the hard kind in one locked pass
+(``take_machine_op``).  Its reference is the sequence it replaced:
+``take(kind="delay")`` then ``take(kind="hard")``, on a schedule and on
+a probe, which must record the op space the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import pickle
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.machine.fault import FaultEvent, FaultSchedule
+from repro.machine.fault import FaultEvent, FaultSchedule, ProbingFaultSchedule
 
 _PHASES = ("work", "recovery", "*")
 _KINDS = ("hard", "soft", "delay")
@@ -101,3 +106,41 @@ def test_indexed_take_matches_the_linear_scan(initial, data):
         else:
             indexed = pickle.loads(pickle.dumps(indexed))
         _agree(indexed, reference)
+
+
+@given(initial=st.lists(events, max_size=12), data=st.data())
+def test_machine_op_lookup_matches_delay_then_hard(initial, data):
+    single, two_takes = FaultSchedule(initial), FaultSchedule(initial)
+    probe, probe_two_takes = ProbingFaultSchedule(), ProbingFaultSchedule()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        step = data.draw(st.sampled_from(("op", "op", "op", "add", "absorb", "pickle")))
+        if step == "op":
+            seen = initial + two_takes.events + two_takes.fired
+            target = data.draw(st.sampled_from(seen) | events if seen else events)
+            phase = target.phase
+            if phase == "*" or data.draw(st.booleans()):
+                phase = data.draw(st.sampled_from(_PHASES))
+            query = (target.rank, phase, target.op_index, target.incarnation)
+            expected = (
+                two_takes.take(*query, kind="delay"),
+                two_takes.take(*query, kind="hard"),
+            )
+            assert single.take_machine_op(*query) == expected
+            assert probe.take_machine_op(*query) == (None, None)
+            probe_two_takes.take(*query, kind="delay")
+            probe_two_takes.take(*query, kind="hard")
+        elif step == "add":
+            event = data.draw(events)
+            single.add(event)
+            two_takes.add(event)
+        elif step == "absorb":
+            pool = two_takes.events + two_takes.fired
+            candidates = st.sampled_from(pool) | events if pool else events
+            fired = data.draw(st.lists(candidates, max_size=4))
+            single.absorb_fired(fired)
+            two_takes.absorb_fired(fired)
+        else:
+            single = pickle.loads(pickle.dumps(single))
+            probe = pickle.loads(pickle.dumps(probe))
+        _agree(single, two_takes)
+        assert probe.observed() == probe_two_takes.observed()
