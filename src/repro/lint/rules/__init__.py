@@ -17,11 +17,7 @@ from repro.lint.rules.determinism import (
 from repro.lint.rules.exactness import FloatLiteralRule, MathFloatRule, TrueDivisionRule
 from repro.lint.rules.exceptions import SilentExceptionRule
 from repro.lint.rules.locks import LockDisciplineRule
-from repro.lint.rules.lockverify import (
-    GuardedScopeRule,
-    MissingGuardRule,
-    StaleGuardRule,
-)
+from repro.lint.rules.lockverify import MissingGuardRule, StaleGuardRule
 from repro.lint.rules.obs import PerfFunnelRule
 from repro.lint.rules.parallel import RawParallelismRule
 from repro.lint.rules.phases import PhaseAccountingRule
@@ -50,7 +46,6 @@ def default_rules() -> list[Rule]:
         RawParallelismRule(),
         ThreadCreationRule(),
         PerfFunnelRule(),
-        GuardedScopeRule(),
         MissingGuardRule(),
         StaleGuardRule(),
         TimeoutLiteralRule(),

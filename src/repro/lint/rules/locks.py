@@ -45,7 +45,7 @@ class LockDisciplineRule(Rule):
         "reads/writes of '# guarded-by: <lock>' fields must happen inside "
         "a 'with <lock>:' block in the enclosing function"
     )
-    scopes = ("machine/", "core/", "obs/")
+    scopes = ("machine/", "core/", "obs/", "campaign/", "parallel/")
 
     def __init__(self) -> None:
         #: field name -> set of lock names that guard it

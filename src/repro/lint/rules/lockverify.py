@@ -1,18 +1,8 @@
-"""Guarded-by *verification* rules (LOCK010-LOCK012).
+"""Guarded-by *verification* rules (LOCK011-LOCK012).
 
 ``LOCK001`` trusts ``# guarded-by:`` annotations: it flags accesses of
-annotated fields outside the named lock's scope, inside its original
-scopes (``machine/``, ``core/``, ``obs/``).  These rules close the loop
-and verify the annotation system itself:
-
-``LOCK010``
-    Extends guarded-field access checking to the subsystems grown since
-    the annotations were written — ``campaign/`` and ``parallel/`` —
-    with one addition over LOCK001: *interprocedural clearing*.  An
-    access inside a helper function is accepted when every recorded call
-    site of that helper (by bare name, across all scoped files)
-    lexically holds a required lock — the ``Callers hold _mu`` idiom.  Clearing is keyed by bare function name, so a name collision
-    can mask a finding (never invent one).
+annotated fields outside the named lock's scope.  These rules verify the
+annotation system itself:
 
 ``LOCK011``
     Escape analysis for *missing* annotations: a class that owns a
@@ -32,14 +22,13 @@ and verify the annotation system itself:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from repro.lint.engine import Rule, SourceFile, Violation, iter_functions
+from repro.lint.engine import Rule, SourceFile, Violation
 
-__all__ = ["GuardedScopeRule", "MissingGuardRule", "StaleGuardRule"]
+__all__ = ["MissingGuardRule", "StaleGuardRule"]
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 #: Method names that mutate a list/dict/set in place.
 _MUTATORS = frozenset(
@@ -59,204 +48,6 @@ _MUTATORS = frozenset(
 )
 
 _LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition", "Semaphore"})
-
-
-def _lock_of(
-    expr: ast.expr, aliases: dict[str, str], lock_names: set[str]
-) -> str | None:
-    """Lock name denoted by a with/assignment expression (mirrors the
-    LOCK001 matcher: terminal attribute, subscripted arrays, aliases)."""
-    while isinstance(expr, ast.Subscript):
-        expr = expr.value
-    if isinstance(expr, ast.Attribute) and expr.attr in lock_names:
-        return expr.attr
-    if isinstance(expr, ast.Name):
-        if expr.id in aliases:
-            return aliases[expr.id]
-        if expr.id in lock_names:
-            return expr.id
-    return None
-
-
-def _collect_aliases(
-    func: ast.FunctionDef | ast.AsyncFunctionDef, lock_names: set[str]
-) -> dict[str, str]:
-    """Local names assigned from a lock expression, flow-insensitively."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            lock = _lock_of(node.value, {}, lock_names)
-            if lock is not None:
-                aliases[node.targets[0].id] = lock
-    return aliases
-
-
-def _iter_held(
-    node: ast.AST,
-    held: tuple[str, ...],
-    aliases: dict[str, str],
-    lock_names: set[str],
-) -> Iterator[tuple[ast.AST, tuple[str, ...]]]:
-    """Yield ``(node, held-locks)`` for every sub-node, tracking ``with``
-    blocks lexically; nested def/lambda/class scopes are skipped (they are
-    visited as functions in their own right)."""
-    if isinstance(node, _SCOPE_NODES):
-        return
-    if isinstance(node, (ast.With, ast.AsyncWith)):
-        acquired: list[str] = []
-        for item in node.items:
-            for sub in ast.walk(item.context_expr):
-                yield sub, held
-            lock = _lock_of(item.context_expr, aliases, lock_names)
-            if lock is not None:
-                acquired.append(lock)
-        inner = held + tuple(acquired)
-        for stmt in node.body:
-            yield from _iter_held(stmt, inner, aliases, lock_names)
-        return
-    yield node, held
-    for child in ast.iter_child_nodes(node):
-        yield from _iter_held(child, held, aliases, lock_names)
-
-
-def _callee_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _guarded_fields(
-    files: Sequence[SourceFile],
-) -> tuple[dict[str, set[str]], set[str]]:
-    """``field -> guarding locks`` census plus the set of lock names."""
-    guarded: dict[str, set[str]] = {}
-    lock_names: set[str] = set()
-    for sf in files:
-        if not sf.guarded_lines:
-            continue
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            lock = sf.guarded_lines.get(node.lineno)
-            if lock is None:
-                continue
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for t in targets:
-                field: str | None = None
-                if isinstance(t, ast.Attribute):
-                    field = t.attr
-                elif isinstance(t, ast.Name):
-                    field = t.id
-                if field is not None:
-                    guarded.setdefault(field, set()).add(lock)
-                    lock_names.add(lock)
-    return guarded, lock_names
-
-
-class GuardedScopeRule(Rule):
-    id = "LOCK010"
-    name = "lock-verify-scope"
-    description = (
-        "guarded-field accesses in campaign/ and parallel/ must hold the "
-        "declared lock, lexically or via every recorded call site"
-    )
-    #: Census + call-site collection span every annotated subsystem; only
-    #: the post-LOCK001 subsystems are *checked* (machine/core/obs stay
-    #: LOCK001's, so one access is never reported twice).
-    scopes = ("machine/", "core/", "obs/", "campaign/", "parallel/")
-    check_scopes = ("campaign/", "parallel/")
-
-    def __init__(self) -> None:
-        self.guarded: dict[str, set[str]] = {}
-        self.lock_names: set[str] = set()
-        #: bare callee name -> locks held at *every* one of its call sites,
-        #: transitively (a site inside a cleared helper inherits the
-        #: helper's guarantee).  Greatest fixpoint over the call graph.
-        self.guaranteed: dict[str, frozenset[str]] = {}
-
-    def prepare(self, files: Sequence[SourceFile]) -> None:
-        self.guarded, self.lock_names = _guarded_fields(files)
-        self.guaranteed = {}
-        if not self.guarded:
-            return
-        #: callee -> [(lexically held locks, enclosing function name)]
-        sites: dict[str, list[tuple[frozenset[str], str]]] = {}
-        for sf in files:
-            for func in iter_functions(sf.tree):
-                aliases = _collect_aliases(func, self.lock_names)
-                for stmt in func.body:
-                    for node, held in _iter_held(
-                        stmt, (), aliases, self.lock_names
-                    ):
-                        if isinstance(node, ast.Call):
-                            name = _callee_name(node)
-                            if name is not None:
-                                sites.setdefault(name, []).append(
-                                    (frozenset(held), func.name)
-                                )
-        empty: frozenset[str] = frozenset()
-        guaranteed = {name: frozenset(self.lock_names) for name in sites}
-        changed = True
-        while changed:
-            changed = False
-            for name, call_list in sites.items():
-                new = empty
-                for i, (held, encl) in enumerate(call_list):
-                    effective = held | guaranteed.get(encl, empty)
-                    new = effective if i == 0 else (new & effective)
-                if new != guaranteed[name]:
-                    guaranteed[name] = new
-                    changed = True
-        self.guaranteed = guaranteed
-
-    def _cleared_by_callers(self, func_name: str, required: set[str]) -> bool:
-        return bool(required & self.guaranteed.get(func_name, frozenset()))
-
-    def check(self, sf: SourceFile) -> Iterable[Violation]:
-        rel = sf.relpath
-        if rel is None or not any(rel.startswith(s) for s in self.check_scopes):
-            return []
-        if not self.guarded:
-            return []
-        out: list[Violation] = []
-        for func in iter_functions(sf.tree):
-            if func.name == "__init__":
-                continue
-            aliases = _collect_aliases(func, self.lock_names)
-            for stmt in func.body:
-                for node, held in _iter_held(stmt, (), aliases, self.lock_names):
-                    if not isinstance(node, ast.Attribute):
-                        continue
-                    required = self.guarded.get(node.attr)
-                    if required is None or required & set(held):
-                        continue
-                    if self._cleared_by_callers(func.name, required):
-                        continue
-                    mode = (
-                        "write"
-                        if isinstance(node.ctx, (ast.Store, ast.Del))
-                        else "read"
-                    )
-                    locks = " or ".join(sorted(required))
-                    out.append(
-                        self.violation(
-                            sf,
-                            node,
-                            f"{mode} of guarded field {node.attr!r} outside "
-                            f"'with {locks}:' scope (and not every call site "
-                            f"of {func.name!r} holds it)",
-                        )
-                    )
-        return out
 
 
 class MissingGuardRule(Rule):

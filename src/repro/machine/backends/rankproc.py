@@ -400,24 +400,26 @@ class RankState(_SharedState):
 
 class ProcCommunicator(Communicator):
     """The standard communicator, with a fresh wall-clock limit for each
-    receive and gate and the live-kill hold at a fault point."""
+    receive and gate and the live-kill hold at a fault point.  Its
+    :meth:`~repro.machine.comm.Communicator.sub` views are
+    ``ProcCommunicator`` instances too, so they keep both; the hub client
+    is reached through the shared :class:`RankState`."""
 
-    def __init__(self, state: RankState, rank: int, client: HubClient):
-        super().__init__(state, rank)
-        self._client = client
+    _state: RankState
 
     def _collect_matched(self, *args: Any, **kwargs: Any) -> Message:
-        self._client.waiter.begin()
+        self._state._client.waiter.begin()
         return super()._collect_matched(*args, **kwargs)
 
     def gate(
         self, key: Any, participants: Any, timeout: float | None = None
     ) -> None:
-        self._client.waiter.begin()
+        self._state._client.waiter.begin()
         super().gate(key, participants, timeout)
 
     def _die(self, op_index: int) -> None:
-        if self._client.fault_mode in ("kill", "respawn"):
+        client = self._state._client
+        if client.fault_mode in ("kill", "respawn"):
             # Live injection: ship the census (clock, ledger, recorder
             # ops, fault log — everything a SIGKILL would destroy), then
             # hold still at the scheduled fault point and wait for the
@@ -425,10 +427,10 @@ class ProcCommunicator(Communicator):
             # instruction of the rank program.
             phase = self.current_phase
             self._state.fault_log.record(
-                self.rank, phase, op_index, self.incarnation, kind="hard"
+                self.world_rank, phase, op_index, self.incarnation, kind="hard"
             )
             census = build_census(self, phase=phase, op_index=op_index)
-            self._client.send(wire.FAULT_REQ, census)
+            client.send(wire.FAULT_REQ, census)
             while True:
                 time.sleep(poll_interval())
         super()._die(op_index)
@@ -452,7 +454,7 @@ def build_census(
     ledger = comm.ledger
     tracer = state.tracer
     return {
-        "rank": comm.rank,
+        "rank": comm.world_rank,
         "inc": comm.incarnation,
         "clock": comm.clock.snapshot(),
         "ledger": [(name, ledger.get(name)) for name in ledger.phases()],
@@ -501,7 +503,7 @@ def rank_main(config: RankConfig) -> None:
     client.router = router
     client.start_receiver()
     client.start_heartbeat()
-    comm = ProcCommunicator(state, config.rank, client)
+    comm = ProcCommunicator(state, config.rank)
     result: Any = None
     error: BaseException | None = None
     try:

@@ -61,14 +61,6 @@ __all__ = [
 _ADD: Callable[[Any, Any], Any] = lambda a, b: a + b
 
 
-def _base_comm(comm: Any) -> Any:
-    """The root Communicator under any stack of sub-communicators."""
-    base = comm
-    while hasattr(base, "parent"):
-        base = base.parent
-    return base
-
-
 def _trace_collective(
     comm: Any, op: str, fan_in: int, payload: Any = None, words: int = 0,
     modeled: bool = False,
@@ -80,17 +72,16 @@ def _trace_collective(
     0 so the fan-in histogram isn't inflated by group size.  Payload
     sizing is deferred behind the enabled check.
     """
-    base = _base_comm(comm)
-    tracer = base._state.tracer
+    tracer = comm._state.tracer
     if not tracer.enabled:
         return
     if payload is not None:
         words = payload_words(payload, comm.word_bits)
     tracer.on_collective(
-        base.rank,
-        base.current_phase,
-        base.clock.snapshot(),
-        base.incarnation,
+        comm.world_rank,
+        comm.current_phase,
+        comm.clock.snapshot(),
+        comm.incarnation,
         op=op,
         group_size=comm.size,
         fan_in=fan_in,
@@ -261,50 +252,37 @@ def _charge_lemma25(
     comm.ledger.charge(
         f=total_words if with_flops else 0, bw=total_words, l=logp + t
     )
-    base = _base_comm(comm)
-    tracer = base._state.tracer
+    tracer = comm._state.tracer
     if tracer.enabled:
-        group = (
-            list(comm.ranks)
-            if hasattr(comm, "ranks")
-            else list(range(comm.size))
-        )
         tracer.on_modeled_charge(
-            base.rank, base.current_phase, base.incarnation, name, group,
-            total_words, logp + t,
+            comm.world_rank, comm.current_phase, comm.incarnation, name,
+            list(comm.ranks), total_words, logp + t,
         )
 
 
 def _uncharged_send(comm: Any, dest: int, payload: Any, tag: int) -> None:
-    """Transport without cost charging (modeled collectives pay in bulk).
+    """Transport without cost charging (modeled collectives pay in bulk)
+    to *global* rank ``dest`` (callers translate through ``comm.ranks``).
 
     Clock propagation still happens on the receive side, so critical-path
     dependencies survive.
     """
-    # Reach through sub-communicators to the root Communicator.
-    base, gdest = comm, dest
-    while hasattr(base, "parent"):
-        gdest = base.ranks[gdest]
-        base = base.parent
-    base.fault_point()
-    tracer = base._state.tracer
+    comm.fault_point()
+    tracer = comm._state.tracer
     if tracer.enabled:
         tracer.on_modeled_send(
-            base.rank, base.current_phase, base.incarnation, gdest, tag
+            comm.world_rank, comm.current_phase, comm.incarnation, dest, tag
         )
-    base._post(gdest, payload, tag, 0)
+    comm._post(dest, payload, tag, 0)
 
 
 def _uncharged_recv(comm: Any, source: int, tag: int) -> Any:
-    """The receiving end of :func:`_uncharged_send`: merge the sender's
-    clock, charge nothing.  Fails over only when the source dies."""
-    base, gsource = comm, source
-    while hasattr(base, "parent"):
-        gsource = base.ranks[gsource]
-        base = base.parent
-    base.fault_point()
-    msg = base._collect_matched(gsource, tag, None, None, modeled=True)
-    base.clock.merge(msg.clock)
+    """The receiving end of :func:`_uncharged_send`, from *global* rank
+    ``source``: merge the sender's clock, charge nothing.  Fails over only
+    when the source dies."""
+    comm.fault_point()
+    msg = comm._collect_matched(source, tag, None, None, modeled=True)
+    comm.clock.merge(msg.clock)
     return msg.payload
 
 
@@ -333,6 +311,7 @@ def t_reduce(
     t = len(roots)
     if t == 0:
         return None
+    targets = comm._to_globals(roots)
     total_words = sum(
         payload_words(contributions[r], comm.word_bits) for r in roots
     )
@@ -344,15 +323,16 @@ def t_reduce(
         words=total_words,
         modeled=True,
     )
+    group = comm.ranks
     result = None
     for i, root in enumerate(roots):
         mytag = tag + 3 * i
         if comm.rank == root:
             acc = contributions[root]
-            for r in range(comm.size):
+            for r, member in enumerate(group):
                 if r != root:
                     try:
-                        acc = op(acc, _uncharged_recv(comm, r, mytag))
+                        acc = op(acc, _uncharged_recv(comm, member, mytag))
                     except PeerDead:
                         # Dead contributors are skipped; callers whose
                         # semantics need every summand must exclude dead
@@ -360,7 +340,7 @@ def t_reduce(
                         continue
             result = acc
         else:
-            _uncharged_send(comm, root, contributions[root], mytag)
+            _uncharged_send(comm, targets[i], contributions[root], mytag)
     return result
 
 
@@ -381,18 +361,20 @@ def t_broadcast(
     t = len(roots)
     if t == 0:
         return {}
+    sources = comm._to_globals(roots)
+    group = comm.ranks
     out: dict[int, Any] = {}
     total_words = 0
     for i, root in enumerate(roots):
         mytag = tag + 2 * i
         if comm.rank == root:
             total_words += payload_words(values[root], comm.word_bits)
-            for r in range(comm.size):
+            for r, member in enumerate(group):
                 if r != root:
-                    _uncharged_send(comm, r, values[root], mytag)
+                    _uncharged_send(comm, member, values[root], mytag)
             out[root] = values[root]
         else:
-            out[root] = _uncharged_recv(comm, root, mytag)
+            out[root] = _uncharged_recv(comm, sources[i], mytag)
             total_words += payload_words(out[root], comm.word_bits)
     _charge_lemma25(comm, 0, total_words, with_flops=False, name="t_broadcast")
     _trace_collective(

@@ -12,7 +12,8 @@ Each rank program receives a :class:`Communicator`.  It provides:
   local memory and marks the rank dead.  Fault-tolerant programs catch it
   and call :meth:`Communicator.begin_replacement` to re-enter as the
   replacement processor (fresh incarnation, empty memory, purged mailbox),
-- ``sub(ranks)`` for row/column sub-communicators with translated ranks,
+- ``sub(ranks)`` for row/column groups: a view of the same class that
+  numbers the group's ranks from 0 and shares all state,
 - failure detection (``dead_ranks``, ``is_alive``) — the paper assumes
   faults are detected; we model a perfect failure detector,
 - the runtime's agreement primitives (``agree_dead``, ``vote``, ``gate``,
@@ -33,7 +34,7 @@ from repro.machine.network import Message, Router
 from repro.machine.sizes import payload_words
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Communicator", "Consensus", "SubCommunicator"]
+__all__ = ["Communicator", "Consensus"]
 
 
 class Consensus:
@@ -169,62 +170,96 @@ class _SharedState(Consensus):
         self.clocks = [CostClock() for _ in range(size)]
         self.ledgers = [PhaseLedger() for _ in range(size)]
         self.heaps: list[dict[str, Any]] = [dict() for _ in range(size)]
+        # Per-rank fault-point counters (machine ops in the current phase,
+        # soft checks in the run) and the delay-fault slowdown on
+        # arithmetic (the paper's third fault category; 1.0 = healthy).
+        # They live here, not on a Communicator, so every view of a rank
+        # counts the same ops.
+        self.phase_ops = [0] * size
+        self.soft_ops = [0] * size
+        self.slowdowns = [1.0] * size
 
 
 class Communicator:
-    """Per-rank handle onto the simulated machine."""
+    """Per-rank handle onto the machine, over a group of ranks.
+
+    ``ranks`` maps the group's local ranks to global ranks: local rank
+    ``i`` is global rank ``ranks[i]``.  The world communicator a rank
+    program receives has ``ranks == range(size)``; :meth:`sub` returns a
+    view over a subset, of the same class and sharing all state.  ``rank``
+    and ``size`` are local to the group, and every rank argument is
+    checked against ``[0, size)`` and translated once, at the method
+    boundary; state slots, message stamps, fault-log entries and tracer
+    events all use the global rank ``world_rank``.
+    """
 
     def __init__(self, state: _SharedState, rank: int):
         self._state = state
+        self.ranks: Sequence[int] = range(state.size)
+        self.size = state.size
         self.rank = rank
-        self._phase_ops = 0
-        self._soft_ops = 0
-        #: Current slowdown multiplier on arithmetic (delay faults; the
-        #: paper's third fault category).  1.0 = healthy.
-        self.slowdown = 1.0
+        #: This rank's global rank, whatever group the view spans.
+        self.world_rank = rank
+
+    # -- rank translation --------------------------------------------------
+    def to_global(self, rank: int) -> int:
+        """The global rank of local ``rank``; :class:`CommError` outside
+        ``[0, size)``."""
+        if not 0 <= rank < self.size:
+            raise CommError(
+                f"rank {rank} out of range for a communicator of size {self.size}"
+            )
+        return self.ranks[rank]
+
+    def _to_globals(self, ranks: Iterable[int]) -> list[int]:
+        """:meth:`to_global` over a whole rank list, in one pass."""
+        local = list(ranks)
+        if local and not (0 <= min(local) and max(local) < self.size):
+            for r in local:
+                self.to_global(r)  # raises at the first bad rank
+        table = self.ranks
+        return [table[r] for r in local]
 
     # -- introspection -----------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self._state.size
-
     @property
     def word_bits(self) -> int:
         return self._state.word_bits
 
     @property
     def memory(self) -> LocalMemory:
-        return self._state.memories[self.rank]
+        return self._state.memories[self.world_rank]
 
     @property
     def heap(self) -> dict[str, Any]:
         """Engine-visible storage wiped on a hard fault."""
-        return self._state.heaps[self.rank]
+        return self._state.heaps[self.world_rank]
 
     @property
     def clock(self) -> CostClock:
-        return self._state.clocks[self.rank]
+        return self._state.clocks[self.world_rank]
 
     @property
     def ledger(self) -> PhaseLedger:
-        return self._state.ledgers[self.rank]
+        return self._state.ledgers[self.world_rank]
 
     @property
     def incarnation(self) -> int:
         with self._state.lock:
-            return self._state.incarnations[self.rank]
+            return self._state.incarnations[self.world_rank]
 
     def is_alive(self, rank: int) -> bool:
+        g = self.to_global(rank)
         self._detector_yield()
         with self._state.lock:
-            return self._state.alive[rank]
+            return self._state.alive[g]
 
     def incarnation_of(self, rank: int) -> int:
         """Current incarnation number of ``rank`` (0 = original processor).
         Protocols use this to wait for a replacement to come up."""
+        g = self.to_global(rank)
         self._detector_yield()
         with self._state.lock:
-            return self._state.incarnations[rank]
+            return self._state.incarnations[g]
 
     def _detector_yield(self) -> None:
         """Cooperative yield at failure-detector reads.
@@ -235,7 +270,7 @@ class Communicator:
         here keeps those loops live without charging any cost or touching
         a fault point — detector reads are free in the model.
         """
-        self._state.scheduler.yield_turn(self.rank)
+        self._state.scheduler.yield_turn(self.world_rank)
 
     def agree_dead(self, key: Any, candidates: Sequence[int]) -> frozenset:
         """Consistent failure snapshot (ULFM-style agreement).
@@ -246,36 +281,44 @@ class Communicator:
         picked up under a later key.  Pair with :meth:`gate` so the
         snapshot is taken only after every participant has settled.
         """
+        members = self._to_globals(candidates)
         state = self._state
-        dead = state.agree_dead(key, candidates)
+        dead = state.agree_dead(key, members)
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_agree_dead(
-                self.rank, self.current_phase, self.incarnation, key,
-                candidates, dead,
+                self.world_rank, self.current_phase, self.incarnation, key,
+                members, dead,
             )
-        return dead
+        table = self.ranks
+        return frozenset(table.index(g) for g in dead if g in table)
 
     def vote(self, key: Any, value: bool) -> None:
         """Record a boolean flag under ``key`` (read after the matching
         :meth:`gate` with :meth:`poll_votes`) — used for consistent group
         decisions such as "did this task attempt succeed everywhere"."""
         state = self._state
-        state.vote(key, self.rank, value)
+        state.vote(key, self.world_rank, value)
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_vote(
-                self.rank, self.current_phase, self.incarnation, key, value
+                self.world_rank, self.current_phase, self.incarnation, key, value
             )
 
     def poll_votes(self, key: Any) -> dict[int, bool]:
-        """All votes recorded under ``key`` so far (vote before the gate,
-        read after it, and every live participant's vote is present).
+        """The group's votes recorded under ``key`` so far, by local rank
+        (vote before the gate, read after it, and every live participant's
+        vote is present).
 
         Named ``poll_votes`` (not ``votes``) so the accessor is not
         mistaken for the guarded ``Consensus.votes`` field itself."""
         self._detector_yield()
-        return self._state.poll_votes(key)
+        table = self.ranks
+        return {
+            table.index(g): value
+            for g, value in self._state.poll_votes(key).items()
+            if g in table
+        }
 
     def gate(self, key: Any, participants: Sequence[int], timeout: float | None = None) -> None:
         """Fault-tolerant barrier: block until every participant has
@@ -293,32 +336,39 @@ class Communicator:
         quiescence priority; in a rank process it is the gate's wall-clock
         limit.
         """
+        members = self._to_globals(participants)
+        me = self.world_rank
         state = self._state
-        state.arrive(key, self.rank)
+        state.arrive(key, me)
         scheduler = state.scheduler
         # Our arrival may complete a gate a parked peer is waiting on.
-        scheduler.on_gate_arrival(key, self.rank)
+        scheduler.on_gate_arrival(key, me)
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_gate(
-                self.rank, self.current_phase, self.incarnation, key,
-                participants,
+                me, self.current_phase, self.incarnation, key, members
             )
         limit = state.timeout if timeout is None else timeout
-        pending = state.gate_pending(key, participants)
+        pending = state.gate_pending(key, members)
         while pending:
-            if not scheduler.block_gate(self.rank, key, pending, limit):
+            if not scheduler.block_gate(me, key, pending, limit):
                 raise DeadlockError(
-                    f"rank {self.rank}: gate {key!r} never completed"
+                    f"rank {me}: gate {key!r} never completed"
                 )
-            pending = state.gate_pending(key, participants)
+            pending = state.gate_pending(key, members)
 
     def dead_ranks(self, ranks: Sequence[int] | None = None) -> set[int]:
-        """The perfect failure detector: dead ranks among ``ranks``."""
+        """The perfect failure detector: dead ranks among ``ranks``
+        (default: the whole group)."""
+        if ranks is None:
+            local, members = range(self.size), self.ranks
+        else:
+            local = list(ranks)
+            members = self._to_globals(local)
         self._detector_yield()
-        pool = range(self.size) if ranks is None else ranks
         with self._state.lock:
-            return {r for r in pool if not self._state.alive[r]}
+            alive = self._state.alive
+            return {r for r, g in zip(local, members) if not alive[g]}
 
     # -- logical withdrawal (column halt, Section 4.2) ---------------------
     def mark_aborted(self, task: int) -> None:
@@ -326,14 +376,14 @@ class Communicator:
         code column was killed); peers treat it like a dead sender for
         that task."""
         state = self._state
-        state.abort(self.rank, task)
+        state.abort(self.world_rank, task)
         # Receivers using abort_check fail over on withdrawal exactly like
         # on death: wake them to re-check.
         state.scheduler.on_liveness_change()
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_abort(
-                self.rank,
+                self.world_rank,
                 self.current_phase,
                 self.clock.snapshot(),
                 self.incarnation,
@@ -342,20 +392,23 @@ class Communicator:
 
     def aborted_at(self, rank: int) -> int:
         """The task index at which ``rank`` abandoned, or -1."""
+        g = self.to_global(rank)
         with self._state.lock:
-            return self._state.aborted_task[rank]
+            return self._state.aborted_task[g]
 
     def withdrawn_ranks(self, ranks: Sequence[int], task: int) -> set[int]:
         """Ranks among ``ranks`` that are dead or have abandoned exactly
         task ``task`` (an abort is scoped to one task; the rank
         participates again in the next)."""
-        out = set()
-        with self._state.lock:
-            for r in ranks:
-                at = self._state.aborted_task[r]
-                if not self._state.alive[r] or at == task:
-                    out.add(r)
-        return out
+        local = list(ranks)
+        members = self._to_globals(local)
+        state = self._state
+        with state.lock:
+            alive, aborted = state.alive, state.aborted_task
+            return {
+                r for r, g in zip(local, members)
+                if not alive[g] or aborted[g] == task
+            }
 
     # -- phases ------------------------------------------------------------
     @contextmanager
@@ -365,27 +418,29 @@ class Communicator:
         With tracing enabled the scope is recorded as a begin/end span
         pair in virtual time; spans nest exactly like the ``with`` blocks
         do, which is what makes the exported Perfetto timeline stack."""
+        me = self.world_rank
+        phase_ops = self._state.phase_ops
         previous = self.ledger.current_phase
-        prev_ops = self._phase_ops
+        prev_ops = phase_ops[me]
         self.set_phase(name)
         tracer = self._state.tracer
         if tracer.enabled:
             tracer.on_phase_begin(
-                self.rank, name, self.clock.snapshot(), self.incarnation
+                me, name, self.clock.snapshot(), self.incarnation
             )
         try:
             yield
         finally:
             if tracer.enabled:
                 tracer.on_phase_end(
-                    self.rank, name, self.clock.snapshot(), self.incarnation
+                    me, name, self.clock.snapshot(), self.incarnation
                 )
             self.ledger.set_phase(previous)
-            self._phase_ops = prev_ops
+            phase_ops[me] = prev_ops
 
     def set_phase(self, name: str) -> None:
         self.ledger.set_phase(name)
-        self._phase_ops = 0
+        self._state.phase_ops[self.world_rank] = 0
 
     @property
     def current_phase(self) -> str:
@@ -395,17 +450,17 @@ class Communicator:
     def fault_point(self) -> None:
         """Check the fault schedule; die here if a hard event matches, or
         start running slow if a delay event matches."""
-        op = self._phase_ops
-        self._phase_ops += 1
+        me = self.world_rank
+        state = self._state
+        op = state.phase_ops[me]
+        state.phase_ops[me] = op + 1
         phase, incarnation = self.current_phase, self.incarnation
-        delay, hard = self._state.fault_schedule.take_machine_op(
-            self.rank, phase, op, incarnation
+        delay, hard = state.fault_schedule.take_machine_op(
+            me, phase, op, incarnation
         )
         if delay is not None:
-            self.slowdown = max(self.slowdown, delay.factor)
-            self._state.fault_log.record(
-                self.rank, phase, op, incarnation, kind="delay"
-            )
+            state.slowdowns[me] = max(state.slowdowns[me], delay.factor)
+            state.fault_log.record(me, phase, op, incarnation, kind="delay")
         if hard is not None:
             self._die(op)
 
@@ -417,30 +472,31 @@ class Communicator:
         miscalculated without noticing).  Soft checks count their own op
         indices, separate from hard fault points.
         """
-        op = self._soft_ops
-        self._soft_ops += 1
-        if self._state.fault_schedule.should_fail(
-            self.rank, self.current_phase, op, self.incarnation, kind="soft"
+        me = self.world_rank
+        state = self._state
+        op = state.soft_ops[me]
+        state.soft_ops[me] = op + 1
+        if state.fault_schedule.should_fail(
+            me, self.current_phase, op, self.incarnation, kind="soft"
         ):
-            self._state.fault_log.record(
-                self.rank, self.current_phase, op, self.incarnation, kind="soft"
+            state.fault_log.record(
+                me, self.current_phase, op, self.incarnation, kind="soft"
             )
             return True
         return False
 
     def _die(self, op_index: int) -> None:
+        me = self.world_rank
         state = self._state
-        state.die(self.rank)
+        state.die(me)
         # Receivers parked on this rank must re-check and fail over.
         state.scheduler.on_liveness_change()
         phase = self.current_phase
-        state.fault_log.record(
-            self.rank, phase, op_index, self.incarnation, kind="hard"
-        )
+        state.fault_log.record(me, phase, op_index, self.incarnation, kind="hard")
         # Data loss: the processor's memory contents are gone.
         self.memory.wipe()
-        state.heaps[self.rank].clear()
-        raise HardFault(self.rank, phase, op_index)
+        state.heaps[me].clear()
+        raise HardFault(me, phase, op_index)
 
     def begin_replacement(self, purge: bool = True) -> int:
         """Re-enter as the replacement processor for this grid position.
@@ -452,24 +508,19 @@ class Communicator:
         peers that resend) in-flight messages for the replacement — used by
         protocols whose recovery inputs arrive as ordinary messages.
         """
+        me = self.world_rank
         state = self._state
         if purge:
-            state.router.purge(self.rank)
+            state.router.purge(me)
         with state.lock:
-            if state.alive[self.rank]:
-                raise CommError(
-                    f"rank {self.rank} called begin_replacement while alive"
-                )
-        incarnation = state.replace(self.rank)
-        self._phase_ops = 0
+            if state.alive[me]:
+                raise CommError(f"rank {me} called begin_replacement while alive")
+        incarnation = state.replace(me)
+        state.phase_ops[me] = 0
         tracer = state.tracer
         if tracer.enabled:
             tracer.on_replacement(
-                self.rank,
-                self.current_phase,
-                self.clock.snapshot(),
-                incarnation,
-                purge,
+                me, self.current_phase, self.clock.snapshot(), incarnation, purge
             )
         return incarnation
 
@@ -478,7 +529,7 @@ class Communicator:
         """Charge ``ops`` arithmetic operations at this rank (a delayed
         processor pays its slowdown factor per operation)."""
         self.fault_point()
-        charged = int(ops * self.slowdown)
+        charged = int(ops * self._state.slowdowns[self.world_rank])
         self.clock.charge_flops(charged)
         self.ledger.charge(f=charged)
 
@@ -490,28 +541,30 @@ class Communicator:
         Sends to dead ranks succeed silently (the data is lost) — matching
         the physical reality that the sender cannot know the receiver died.
         """
-        if dest == self.rank:
-            raise CommError(f"rank {self.rank} attempted a self-send")
+        to = self.to_global(dest)
+        me = self.world_rank
+        if to == me:
+            raise CommError(f"rank {me} attempted a self-send")
         self.fault_point()
         nwords = payload_words(payload, self.word_bits) if words is None else words
-        hops = self._state.topology.hops(self.rank, dest)
+        hops = self._state.topology.hops(me, to)
         self.clock.bw += nwords
         self.clock.l += hops
         self.ledger.charge(bw=nwords, l=hops)
         tracer = self._state.tracer
         if tracer.enabled:
             tracer.on_send(
-                self.rank, self.current_phase, self.clock.snapshot(),
-                self.incarnation, dest, tag, nwords, hops,
+                me, self.current_phase, self.clock.snapshot(),
+                self.incarnation, to, tag, nwords, hops,
             )
-        self._post(dest, payload, tag, nwords)
+        self._post(to, payload, tag, nwords)
 
     def _post(self, dest: int, payload: Any, tag: int, words: int) -> None:
-        """Deposit a message stamped with this rank's clock and
-        incarnation, and wake ``dest`` if it is parked on it (shared by
-        :meth:`send` and the modeled collective transport)."""
+        """Deposit a message to global rank ``dest`` stamped with this
+        rank's clock and incarnation, and wake ``dest`` if it is parked on
+        it (shared by :meth:`send` and the modeled collective transport)."""
         msg = Message(
-            source=self.rank,
+            source=self.world_rank,
             dest=dest,
             tag=tag,
             payload=payload,
@@ -537,10 +590,9 @@ class Communicator:
         or earlier — and no matching message is queued;
         :class:`DeadlockError` on timeout.
         """
+        src = self.to_global(source)
         self.fault_point()
-        return self.absorb(
-            self._collect_matched(source, tag, timeout, abort_check)
-        )
+        return self.absorb(self._collect_matched(src, tag, timeout, abort_check))
 
     def recv_raw(
         self,
@@ -551,15 +603,16 @@ class Communicator:
     ) -> Message:
         """Matched receive **without** clock merging or cost charging.
 
-        Returns the raw :class:`~repro.machine.network.Message`; callers
-        that decide to use the payload must pass the message to
-        :meth:`absorb` — this is how straggler-avoiding collectors pick
-        the earliest messages in *virtual* time: physically receive,
-        inspect the attached clock, and only absorb (i.e. "wait for")
-        the ones actually used.
+        Returns the raw :class:`~repro.machine.network.Message` (whose
+        ranks are global); callers that decide to use the payload must
+        pass the message to :meth:`absorb` — this is how
+        straggler-avoiding collectors pick the earliest messages in
+        *virtual* time: physically receive, inspect the attached clock,
+        and only absorb (i.e. "wait for") the ones actually used.
         """
+        src = self.to_global(source)
         self.fault_point()
-        return self._collect_matched(source, tag, timeout, abort_check, raw=True)
+        return self._collect_matched(src, tag, timeout, abort_check, raw=True)
 
     def _collect_matched(
         self,
@@ -571,9 +624,10 @@ class Communicator:
         modeled: bool = False,
     ) -> Message:
         """The receive loop behind :meth:`recv`, :meth:`recv_raw` and the
-        modeled collective transport: take a match from the router, else
-        fail over to :class:`PeerDead` when the source can post no
-        further messages, else park on the scheduler and re-check.
+        modeled collective transport: take a match from global rank
+        ``source`` from the router, else fail over to :class:`PeerDead`
+        when the source can post no further messages, else park on the
+        scheduler and re-check.
 
         A wake means "re-check"; a False verdict from the park means the
         wait ran out (quiescence in the simulator, the wall clock in a
@@ -584,12 +638,13 @@ class Communicator:
         message passes through here exactly once, which is where the
         tracer's ``on_deliver`` hook (the schedule recorder's receives)
         fires."""
-        if source == self.rank:
-            raise CommError(f"rank {self.rank} attempted a self-receive")
+        me = self.world_rank
+        if source == me:
+            raise CommError(f"rank {me} attempted a self-receive")
         state = self._state
         limit = state.timeout if timeout is None else timeout
         take = state.router.take
-        msg = take(self.rank, source, tag)
+        msg = take(me, source, tag)
         while msg is None:
             with state.lock:
                 source_gone = not state.alive[source] or (
@@ -604,21 +659,21 @@ class Communicator:
                 # process its final send may have landed between the
                 # failed take and the flag check (sends happen-before the
                 # flags are set): drain once more before failing over.
-                msg = take(self.rank, source, tag)
+                msg = take(me, source, tag)
                 if msg is None:
                     raise PeerDead(source)
                 break
-            if not state.scheduler.block_recv(self.rank, source, tag, limit):
+            if not state.scheduler.block_recv(me, source, tag, limit):
                 raise DeadlockError(
-                    f"rank {self.rank}: no message from {source} tag {tag} "
+                    f"rank {me}: no message from {source} tag {tag} "
                     f"after {limit:.1f}s"
                 )
-            msg = take(self.rank, source, tag)
+            msg = take(me, source, tag)
         tracer = state.tracer
         if tracer.enabled:
-            hops = 0 if modeled else state.topology.hops(msg.source, self.rank)
+            hops = 0 if modeled else state.topology.hops(msg.source, me)
             tracer.on_deliver(
-                self.rank, self.current_phase, self.incarnation, msg.source,
+                me, self.current_phase, self.incarnation, msg.source,
                 msg.tag, msg.words, hops, modeled, raw,
             )
         return msg
@@ -628,15 +683,16 @@ class Communicator:
         clock and charge the transfer, exactly as :meth:`recv` would.
         (:meth:`recv` itself ends here, so all charged receives trace
         through one path.)"""
+        me = self.world_rank
         self.clock.merge(msg.clock)
-        hops = self._state.topology.hops(msg.source, self.rank)
+        hops = self._state.topology.hops(msg.source, me)
         self.clock.bw += msg.words
         self.clock.l += hops
         self.ledger.charge(bw=msg.words, l=hops)
         tracer = self._state.tracer
         if tracer.enabled:
             tracer.on_recv(
-                self.rank, self.current_phase, self.clock.snapshot(),
+                me, self.current_phase, self.clock.snapshot(),
                 self.incarnation, msg.source, msg.tag, msg.words,
             )
         return msg.payload
@@ -654,162 +710,31 @@ class Communicator:
         return self.recv(source, tag=send_tag if recv_tag is None else recv_tag)
 
     # -- sub-communicators --------------------------------------------------
-    def sub(self, ranks: Sequence[int]) -> "SubCommunicator":
-        """A view restricted to ``ranks`` (must include this rank)."""
-        return SubCommunicator(self, list(ranks))
+    def sub(self, ranks: Sequence[int]) -> "Communicator":
+        """A view over the group ``ranks`` (local ranks of this
+        communicator, in the view's order; must include this rank).
 
-
-class SubCommunicator:
-    """A rank-translated view over a parent communicator.
-
-    ``ranks`` lists the *global* ranks of the group in group order; local
-    rank ``i`` is ``ranks[i]``.  All cost/fault/memory state is the
-    parent's.
-    """
-
-    def __init__(self, parent: Communicator, ranks: list[int]):
-        if len(set(ranks)) != len(ranks):
+        The view is an instance of this communicator's own class sharing
+        all of its state; only the rank numbering differs, so a nested
+        view maps straight to global ranks."""
+        members = self._to_globals(ranks)
+        if len(set(members)) != len(members):
             raise CommError("sub-communicator ranks must be distinct")
-        if parent.rank not in ranks:
+        me = self.world_rank
+        if me not in members:
             raise CommError(
-                f"rank {parent.rank} is not a member of sub-communicator {ranks}"
+                f"rank {me} is not a member of sub-communicator {members}"
             )
-        self.parent = parent
-        self.ranks = ranks
-        self.rank = ranks.index(parent.rank)
-        tracer = parent._state.tracer
+        # Built through the constructor (so a subclass keeps anything
+        # rank-wide in the shared state), never by copying ``__dict__``:
+        # reading an instance's ``__dict__`` moves CPython's inline
+        # attributes into a real dict and slows every later attribute
+        # read on the communicator it was read from.
+        view = type(self)(self._state, me)
+        view.ranks = members
+        view.size = len(members)
+        view.rank = members.index(me)
+        tracer = self._state.tracer
         if tracer.enabled:
-            tracer.on_sub(
-                parent.rank, parent.current_phase, parent.incarnation, ranks
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def word_bits(self) -> int:
-        return self.parent.word_bits
-
-    @property
-    def memory(self) -> LocalMemory:
-        return self.parent.memory
-
-    @property
-    def heap(self) -> dict[str, Any]:
-        return self.parent.heap
-
-    @property
-    def clock(self) -> CostClock:
-        return self.parent.clock
-
-    @property
-    def ledger(self) -> PhaseLedger:
-        return self.parent.ledger
-
-    @property
-    def incarnation(self) -> int:
-        return self.parent.incarnation
-
-    def to_global(self, local_rank: int) -> int:
-        return self.ranks[local_rank]
-
-    def is_alive(self, local_rank: int) -> bool:
-        return self.parent.is_alive(self.ranks[local_rank])
-
-    def incarnation_of(self, local_rank: int) -> int:
-        return self.parent.incarnation_of(self.ranks[local_rank])
-
-    def agree_dead(self, key: Any, candidates: Sequence[int]) -> frozenset:
-        globalized = self.parent.agree_dead(
-            key, [self.ranks[r] for r in candidates]
-        )
-        return frozenset(
-            r for r in range(self.size) if self.ranks[r] in globalized
-        )
-
-    def dead_ranks(self, ranks: Sequence[int] | None = None) -> set[int]:
-        pool = range(self.size) if ranks is None else ranks
-        return {r for r in pool if not self.is_alive(r)}
-
-    def phase(self, name: str) -> Any:
-        return self.parent.phase(name)
-
-    def set_phase(self, name: str) -> None:
-        self.parent.set_phase(name)
-
-    @property
-    def current_phase(self) -> str:
-        return self.parent.current_phase
-
-    def fault_point(self) -> None:
-        self.parent.fault_point()
-
-    def soft_fault_point(self) -> bool:
-        return self.parent.soft_fault_point()
-
-    def begin_replacement(self, purge: bool = True) -> int:
-        return self.parent.begin_replacement(purge=purge)
-
-    def charge_flops(self, ops: int) -> None:
-        self.parent.charge_flops(ops)
-
-    def send(self, dest: int, payload: Any, tag: int = 0, words: int | None = None) -> None:
-        self.parent.send(self.ranks[dest], payload, tag=tag, words=words)
-
-    def recv(
-        self,
-        source: int,
-        tag: int = 0,
-        timeout: float | None = None,
-        abort_check: int | None = None,
-    ) -> Any:
-        return self.parent.recv(
-            self.ranks[source], tag=tag, timeout=timeout, abort_check=abort_check
-        )
-
-    def mark_aborted(self, task: int) -> None:
-        self.parent.mark_aborted(task)
-
-    def gate(self, key: Any, participants: Sequence[int], timeout: float | None = None) -> None:
-        self.parent.gate(key, [self.ranks[p] for p in participants], timeout=timeout)
-
-    def aborted_at(self, local_rank: int) -> int:
-        return self.parent.aborted_at(self.ranks[local_rank])
-
-    def withdrawn_ranks(self, ranks: Sequence[int], task: int) -> set[int]:
-        return {
-            r
-            for r in ranks
-            if self.ranks[r] in self.parent.withdrawn_ranks(
-                [self.ranks[r]], task
-            )
-        }
-
-    def recv_raw(
-        self,
-        source: int,
-        tag: int = 0,
-        timeout: float | None = None,
-        abort_check: int | None = None,
-    ) -> Message:
-        return self.parent.recv_raw(
-            self.ranks[source], tag=tag, timeout=timeout, abort_check=abort_check
-        )
-
-    def absorb(self, msg: Message) -> Any:
-        return self.parent.absorb(msg)
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: int,
-        send_tag: int = 0,
-        recv_tag: int | None = None,
-    ) -> Any:
-        self.send(dest, payload, tag=send_tag)
-        return self.recv(source, tag=send_tag if recv_tag is None else recv_tag)
-
-    def sub(self, ranks: Sequence[int]) -> "SubCommunicator":
-        return SubCommunicator(self.parent, [self.ranks[r] for r in ranks])
+            tracer.on_sub(me, self.current_phase, self.incarnation, members)
+        return view

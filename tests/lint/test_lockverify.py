@@ -1,18 +1,18 @@
-"""LOCK010-LOCK012: the guarded-by *verification* rules.
+"""LOCK001 in the later subsystems, and LOCK011-LOCK012: the guarded-by
+*verification* rules.
 
-LOCK001 trusts annotations inside machine/core/obs; these rules verify
-the annotation system — extended scopes with interprocedural clearing
-(LOCK010), escape analysis for missing annotations (LOCK011), and stale
-annotations naming locks that do not exist (LOCK012).
+LOCK001 checks every annotated field access in ``machine/``, ``core/``,
+``obs/``, ``campaign/`` and ``parallel/`` against the lexical lock scope;
+LOCK011 and LOCK012 verify the annotation system itself — escape
+analysis for missing annotations (LOCK011) and stale annotations naming
+locks that do not exist (LOCK012).
 """
 
 from __future__ import annotations
 
-from repro.lint.rules.lockverify import (
-    GuardedScopeRule,
-    MissingGuardRule,
-    StaleGuardRule,
-)
+from repro.lint.rules import default_rules
+from repro.lint.rules.locks import LockDisciplineRule
+from repro.lint.rules.lockverify import MissingGuardRule, StaleGuardRule
 
 from .conftest import rule_ids
 
@@ -28,10 +28,10 @@ STATE = """\
 
 
 def _scope_rules():
-    return [GuardedScopeRule()]
+    return [LockDisciplineRule()]
 
 
-# -- LOCK010: extended scopes + interprocedural clearing -------------------
+# -- LOCK001 in campaign/ and parallel/ ------------------------------------
 
 
 def test_unlocked_campaign_access_flagged(lint):
@@ -45,7 +45,7 @@ def test_unlocked_campaign_access_flagged(lint):
         },
         rules=_scope_rules(),
     )
-    assert rule_ids(result) == ["LOCK010"]
+    assert rule_ids(result) == ["LOCK001"]
     assert "guarded field 'alive'" in result.violations[0].message
 
 
@@ -64,10 +64,9 @@ def test_lexical_lock_scope_is_clean(lint):
     assert rule_ids(result) == []
 
 
-def test_machine_files_stay_lock001_territory(lint):
-    # An unlocked access in machine/ is LOCK001's finding; LOCK010 only
-    # checks the extended scopes, so the same access is never reported
-    # twice by the two rules.
+def test_each_unlocked_access_reported_once(lint):
+    # Across the whole default rule set, one unlocked access is one
+    # finding, whichever subsystem it sits in.
     result = lint(
         {
             "machine/state.py": STATE
@@ -76,13 +75,22 @@ def test_machine_files_stay_lock001_territory(lint):
         def kill(self, rank):
             self.alive[rank] = False
     """,
+            "parallel/user.py": """\
+    def poke(state):
+        state.alive[0] = False
+    """,
         },
-        rules=_scope_rules(),
+        rules=default_rules(),
     )
-    assert rule_ids(result) == []
+    assert rule_ids(result) == ["LOCK001", "LOCK001"]
+    paths = sorted(v.path for v in result.violations)
+    assert paths[0].endswith("machine/state.py")
+    assert paths[1].endswith("parallel/user.py")
 
 
-def test_call_site_clearing_accepts_helper(lint):
+def test_unlocked_helper_flagged_despite_locked_callers(lint):
+    # The lock must be held where the field is touched: a helper that
+    # every caller invokes under the lock is still a finding.
     result = lint(
         {
             "machine/state.py": STATE,
@@ -97,7 +105,8 @@ def test_call_site_clearing_accepts_helper(lint):
         },
         rules=_scope_rules(),
     )
-    assert rule_ids(result) == []
+    assert rule_ids(result) == ["LOCK001"]
+    assert result.violations[0].line == 2
 
 
 def test_one_unlocked_call_site_breaks_clearing(lint):
@@ -118,31 +127,8 @@ def test_one_unlocked_call_site_breaks_clearing(lint):
         },
         rules=_scope_rules(),
     )
-    assert rule_ids(result) == ["LOCK010"]
-    assert "'helper'" in result.violations[0].message
-
-
-def test_clearing_is_transitive_through_helpers(lint):
-    # inner is only called by outer; outer is only called under the lock:
-    # the guarantee must propagate through the call chain.
-    result = lint(
-        {
-            "machine/state.py": STATE,
-            "campaign/user.py": """\
-    def inner(state):
-        state.alive[0] = False
-
-    def outer(state):
-        inner(state)
-
-    def entry(state):
-        with state.lock:
-            outer(state)
-    """,
-        },
-        rules=_scope_rules(),
-    )
-    assert rule_ids(result) == []
+    assert rule_ids(result) == ["LOCK001"]
+    assert result.violations[0].line == 2
 
 
 def test_def_header_suppression_covers_function_body(lint):
@@ -150,7 +136,7 @@ def test_def_header_suppression_covers_function_body(lint):
         {
             "machine/state.py": STATE,
             "campaign/user.py": """\
-    # repro-lint: disable=LOCK010 -- single-threaded setup code
+    # repro-lint: disable=LOCK001 -- single-threaded setup code
     def build(state):
         state.alive[0] = False
         state.alive[1] = False

@@ -5,6 +5,7 @@ import pytest
 from repro.machine.costs import Counts
 from repro.machine.engine import Machine
 from repro.machine.errors import (
+    CommError,
     DeadlockError,
     HardFault,
     MachineError,
@@ -439,3 +440,46 @@ class TestSubCommunicator:
         sched = FaultSchedule([FaultEvent(rank=1, phase="work", op_index=0)])
         res = run(2, program, fault_schedule=sched, raise_on_error=False)
         assert res.results[0] == {1}
+
+
+#: Every Communicator method that takes a rank, called with rank ``r``.
+RANK_TAKING = {
+    "is_alive": lambda c, r: c.is_alive(r),
+    "incarnation_of": lambda c, r: c.incarnation_of(r),
+    "aborted_at": lambda c, r: c.aborted_at(r),
+    "dead_ranks": lambda c, r: c.dead_ranks([r]),
+    "withdrawn_ranks": lambda c, r: c.withdrawn_ranks([r], 0),
+    "agree_dead": lambda c, r: c.agree_dead("k", [r]),
+    "gate": lambda c, r: c.gate("g", [r]),
+    "send": lambda c, r: c.send(r, "x"),
+    "recv": lambda c, r: c.recv(r),
+    "recv_raw": lambda c, r: c.recv_raw(r),
+    "sendrecv-dest": lambda c, r: c.sendrecv(r, "x", 1),
+    "sendrecv-source": lambda c, r: c.sendrecv(1, "x", r),
+    "sub": lambda c, r: c.sub([c.rank, r]),
+}
+
+
+class TestRankRange:
+    """A rank outside ``[0, size)`` raises CommError at the method
+    boundary, on the world communicator and on a view alike: ``-1`` never
+    aliases the last rank and ``size`` never reaches past the group."""
+
+    @staticmethod
+    def program(comm, method, on_view, bad):
+        if comm.rank != 0:
+            return None
+        target = comm.sub([1, 0]) if on_view else comm
+        rank = -1 if bad == "-1" else target.size
+        try:
+            RANK_TAKING[method](target, rank)
+        except CommError:
+            return "CommError"
+        return "accepted"
+
+    @pytest.mark.parametrize("bad", ["-1", "size"])
+    @pytest.mark.parametrize("on_view", [False, True], ids=["world", "view"])
+    @pytest.mark.parametrize("method", sorted(RANK_TAKING))
+    def test_out_of_range_rank_raises_comm_error(self, method, on_view, bad):
+        res = run(3, self.program, args=(method, on_view, bad), timeout=5)
+        assert res.results[0] == "CommError"

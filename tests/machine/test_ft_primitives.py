@@ -143,6 +143,30 @@ def _gate_and_abort_through_sub(comm):
     return tuple(sub.withdrawn_ranks([0], task=2))
 
 
+def _agreement_through_permuted_sub(comm):
+    # Local ranks 0, 1, 2 are global ranks 2, 0, 1.  Global 1 (local 2)
+    # dies before the gate; global 0 (local 1) withdraws from task 4.
+    view = comm.sub([2, 0, 1])
+    if comm.rank == 1:
+        try:
+            with comm.phase("work"):
+                comm.charge_flops(1)
+        except HardFault:
+            return None
+    if comm.rank == 0:
+        view.mark_aborted(4)
+    view.vote("v", view.rank == 1)
+    view.gate("g", range(view.size))
+    return (
+        view.rank,
+        view.poll_votes("v"),
+        tuple(sorted(view.agree_dead("k", range(view.size)))),
+        tuple(sorted(view.dead_ranks())),
+        tuple(sorted(view.dead_ranks([2, 1]))),
+        tuple(sorted(view.withdrawn_ranks(range(view.size), task=4))),
+    )
+
+
 def _soft_fault_through_sub(comm):
     sub = comm.sub([0])
     with comm.phase("work"):
@@ -244,6 +268,17 @@ class TestSubcommDelegation:
             _gate_and_abort_through_sub
         )
         assert res.results[1] == (0,)
+
+    def test_agreement_through_permuted_subcomm(self):
+        res = Machine(
+            3, fault_schedule=_hard_fault_at(1), timeout=10, backend=self.backend
+        ).run(_agreement_through_permuted_sub)
+        # Every rank returned is in the view's numbering: global 1 is
+        # local 2, global 0 is local 1, and votes are keyed likewise.
+        seen = ({0: False, 1: True}, (2,), (2,), (2,), (1, 2))
+        assert res.results[0] == (1, *seen)
+        assert res.results[2] == (0, *seen)
+        assert res.results[1] is None
 
     def test_soft_fault_point_through_subcomm(self):
         sched = FaultSchedule([FaultEvent(0, "work", 0, kind="soft")])
