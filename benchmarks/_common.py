@@ -183,9 +183,10 @@ def run_registry(out):
     return publish_run_metrics(out.run)
 
 
-def comm_envelope_line(variant, out, n_words, p, k, f):
+def comm_envelope_line(variant, out, n_words, p, k, f_eff):
     """Hold a run's measured (BW, L) — summed from its ``phase_cost``
-    gauges — to the commcheck certifier's envelope for ``variant``.
+    gauges — to the commcheck certifier's envelope for ``variant`` at the
+    redundancy ``f_eff`` the run's algorithm carried.
 
     Returns ``(passed, line)`` where ``line`` is the one-line PASS/FAIL
     verdict the envelope benchmark prints per variant.
@@ -199,7 +200,7 @@ def comm_envelope_line(variant, out, n_words, p, k, f):
         costs = phase_cost(registry, phase)
         bw += costs.bw
         l += costs.l
-    bound_bw, bound_l = cost_envelope(variant, n_words, p, k, f)
+    bound_bw, bound_l = cost_envelope(variant, n_words, p, k, f_eff)
     passed = bw <= bound_bw and l <= bound_l
     status = "PASS" if passed else "FAIL"
     line = (

@@ -9,68 +9,44 @@ communication volume past its certified envelope, this benchmark and the
 commcheck gate fail together.
 """
 
-from _common import WORD_BITS, comm_envelope_line, emit, once, operands, plan_for
+from _common import comm_envelope_line, emit, once, operands, plan_for
 
-from repro.core.api import (
-    multiply_checkpointed,
-    multiply_fault_tolerant,
-    multiply_multistep,
-    multiply_parallel,
-    multiply_replicated,
-    multiply_soft_tolerant,
-)
+from repro.core.checkpoint import CheckpointedToomCook
 from repro.core.ft_polynomial import PolynomialCodedToomCook
+from repro.core.ft_toomcook import FaultTolerantToomCook
+from repro.core.multistep import MultiStepToomCook
+from repro.core.parallel_toomcook import ParallelToomCook
+from repro.core.replication import ReplicatedToomCook
+from repro.core.soft_faults import SoftTolerantToomCook
 
 N_BITS = 1200
 P, K, F = 9, 2, 1
 
-
-def _ft_polynomial(a, b):
-    return PolynomialCodedToomCook(plan_for(N_BITS, P, K), f=F).multiply(a, b)
-
-
 VARIANTS = [
-    ("parallel", lambda a, b: multiply_parallel(a, b, p=P, k=K, word_bits=WORD_BITS)),
-    ("ft_polynomial", _ft_polynomial),
-    (
-        "ft_toomcook",
-        lambda a, b: multiply_fault_tolerant(
-            a, b, p=P, k=K, f=F, word_bits=WORD_BITS
-        ),
-    ),
-    (
-        "replication",
-        lambda a, b: multiply_replicated(a, b, p=P, k=K, f=F, word_bits=WORD_BITS),
-    ),
-    (
-        "checkpoint",
-        lambda a, b: multiply_checkpointed(a, b, p=P, k=K, f=F, word_bits=WORD_BITS),
-    ),
-    (
-        "multistep",
-        lambda a, b: multiply_multistep(a, b, p=P, k=K, f=F, word_bits=WORD_BITS),
-    ),
-    (
-        "soft_faults",
-        lambda a, b: multiply_soft_tolerant(
-            a, b, p=P, k=K, f=F, word_bits=WORD_BITS
-        ),
-    ),
+    ("parallel", lambda plan: ParallelToomCook(plan)),
+    ("ft_polynomial", lambda plan: PolynomialCodedToomCook(plan, f=F)),
+    ("ft_toomcook", lambda plan: FaultTolerantToomCook(plan, f=F)),
+    ("replication", lambda plan: ReplicatedToomCook(plan, f=F)),
+    ("checkpoint", lambda plan: CheckpointedToomCook(plan, f=F)),
+    ("multistep", lambda plan: MultiStepToomCook(plan, l=1, f=F)),
+    ("soft_faults", lambda plan: SoftTolerantToomCook(plan, f=F)),
 ]
 
 
 def test_measured_costs_within_certifier_envelope(benchmark):
     a, b = operands(N_BITS, seed=21)
-    n_words = plan_for(N_BITS, P, K).n_words
+    plan = plan_for(N_BITS, P, K)
 
     def run():
         rows = []
-        for name, fn in VARIANTS:
-            out = fn(a, b)
+        for name, build in VARIANTS:
+            algo = build(plan)
+            out = algo.multiply(a, b)
             assert out.product == a * b
-            rows.append(comm_envelope_line(name, out, n_words, P, K, F))
+            # Each row is priced at the redundancy its algorithm ran with.
+            f_eff = algo.fault_geometry().f_eff
+            rows.append(comm_envelope_line(name, out, plan.n_words, P, K, f_eff))
         return rows
-
     rows = once(benchmark, run)
     lines = [line for _passed, line in rows]
     emit(

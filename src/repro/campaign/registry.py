@@ -19,15 +19,14 @@ variant obeys the MDS rule ``hard + 2*soft <= f``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.machine.fault import FaultEvent, FaultSchedule
 from repro.util.rng import DeterministicRNG
 
 __all__ = [
+    "CostContract",
     "Execution",
-    "FT_LINEAR_COLUMN",
-    "FT_LINEAR_STATE_WORDS",
     "VariantSpec",
     "register_variant",
     "registered_variants",
@@ -60,6 +59,24 @@ class Execution:
     fired: tuple[FaultEvent, ...]
 
 
+class CostContract(NamedTuple):
+    """What commcheck holds a variant's fault-free communication to:
+    ``formula(formulas, n_words, p, k, f_eff)`` picks its Theorem 5.1-5.3
+    or Lemma 2.5 prediction, and the measured max-rank BW and L may reach
+    ``tol_bw`` and ``tol_l`` times it (calibrated at P=9, k=2, f=1 and 600
+    bits with ~2x headroom)."""
+
+    formula: Callable[..., Any]
+    tol_bw: float
+    tol_l: float
+
+    def predict(self, n_words: int, p: int, k: int, f_eff: int) -> Any:
+        # The formulas load on first use: campaign setup never needs them.
+        from repro.analysis import formulas
+
+        return self.formula(formulas, n_words, p, k, f_eff)
+
+
 @dataclass(frozen=True)
 class VariantSpec:
     """One campaign-runnable algorithm variant.
@@ -76,6 +93,10 @@ class VariantSpec:
     forensic re-run of a minimized failure passes a recording one, and
     the ``commcheck`` extractor and faultcheck's schedule prover a
     :class:`~repro.machine.record.ScheduleRecorder`.
+
+    ``factory(cfg, schedule)`` builds the algorithm object a trial runs,
+    whose ``fault_geometry()`` is the variant's one layout record;
+    ``cost`` is its :class:`CostContract`.
     """
 
     name: str
@@ -86,6 +107,14 @@ class VariantSpec:
     execute: Callable[..., Execution]
     tolerates: Callable[[FaultEvent, Any], bool]
     budget_rule: Callable[[Sequence[FaultEvent], Any], str] | None = None
+    factory: Callable[[Any, FaultSchedule], Any] | None = None
+    cost: CostContract | None = None
+
+    def fault_geometry(self, cfg: Any) -> Any:
+        """The algorithm's :class:`~repro.core.layout.FaultGeometry`."""
+        if self.factory is None:
+            raise ValueError(f"variant {self.name!r} has no algorithm factory")
+        return self.factory(cfg, FaultSchedule()).fault_geometry()
 
     def budget(self, events: Sequence[FaultEvent], cfg: Any) -> str:
         """Classify a schedule against the contract.
@@ -176,6 +205,7 @@ def _multiply_variant(
     factory: Callable[[Any, FaultSchedule], Any],
     tolerates: Callable[[FaultEvent, Any], bool],
     budgets: dict[str, int],
+    cost: CostContract,
     kinds: tuple[str, ...] = ("hard", "delay"),
     budget_rule: Callable[[Sequence[FaultEvent], Any], str] | None = None,
 ) -> VariantSpec:
@@ -204,6 +234,8 @@ def _multiply_variant(
             execute=execute,
             tolerates=tolerates,
             budget_rule=budget_rule,
+            factory=factory,
+            cost=cost,
         )
     )
 
@@ -217,9 +249,7 @@ def _plan(cfg: Any, extra_dfs: int = 0) -> Any:
 
 
 # -- built-in variants -------------------------------------------------------
-# Geometry shared by the contracts below (defaults: p=9, k=2, q=3):
-#   ft_polynomial / soft_faults / multistep: [P standard | f code columns]
-#   ft_toomcook: [P standard | f*q linear-code rows | f*(P/q) poly columns]
+# The rank ranges in these contracts follow each algorithm's fault_geometry().
 
 
 def _register_builtins() -> None:
@@ -239,6 +269,7 @@ def _register_builtins() -> None:
         ),
         tolerates=lambda ev, cfg: False,
         budgets={},
+        cost=CostContract(lambda fm, n, p, k, f: fm.parallel_toomcook_costs(n, p, k), 35.0, 11.0),
     )
 
     register_variant(_ft_linear_spec())
@@ -258,6 +289,7 @@ def _register_builtins() -> None:
         tolerates=lambda ev, cfg: ev.kind == "hard"
         and ev.phase in (PHASE_MULT, PHASE_INTERP),
         budgets={"hard": 1},
+        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 27.0, 8.0),
     )
 
     def _ft_toomcook_tolerates(ev: FaultEvent, cfg: Any) -> bool:
@@ -281,10 +313,14 @@ def _register_builtins() -> None:
         ),
         tolerates=_ft_toomcook_tolerates,
         budgets={"hard": 1},
+        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 50.0, 30.0),
     )
 
+    def _soft_redundancy(cfg: Any) -> int:
+        return 2 * cfg.f  # the soft variant runs with doubled redundancy
+
     def _soft_budget(events: Sequence[FaultEvent], cfg: Any) -> str:
-        f = 2 * cfg.f  # the soft variant runs with doubled redundancy
+        f = _soft_redundancy(cfg)
         hard = sum(1 for ev in events if ev.kind == "hard")
         soft = sum(1 for ev in events if ev.kind == "soft")
         for ev in events:
@@ -300,11 +336,12 @@ def _register_builtins() -> None:
         "soft-fault hardened interpolation: detects f, corrects floor(f/2) "
         "silent miscalculations (Section 7)",
         lambda cfg, sched: SoftTolerantToomCook(
-            _plan(cfg), f=2 * cfg.f, fault_schedule=sched, timeout=cfg.timeout
+            _plan(cfg), f=_soft_redundancy(cfg), fault_schedule=sched, timeout=cfg.timeout
         ),
         tolerates=lambda ev, cfg: ev.phase == PHASE_MULT
         and ev.kind in ("hard", "soft"),
         budgets={"hard": 2, "soft": 1},
+        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 25.0, 8.0),
         kinds=("soft", "hard", "delay"),
         budget_rule=_soft_budget,
     )
@@ -319,6 +356,7 @@ def _register_builtins() -> None:
         and ev.rank < cfg.p
         and ev.phase in _TRAVERSAL_PHASES,
         budgets={"hard": 1},
+        cost=CostContract(lambda fm, n, p, k, f: fm.parallel_toomcook_costs(n, p, k), 38.0, 12.0),
     )
 
     _multiply_variant(
@@ -329,6 +367,7 @@ def _register_builtins() -> None:
         ),
         tolerates=lambda ev, cfg: ev.kind == "hard",
         budgets={"hard": 1},
+        cost=CostContract(lambda fm, n, p, k, f: fm.replication_costs(n, p, k, f), 35.0, 11.0),
     )
 
     def _multistep_factory(cfg: Any, sched: FaultSchedule) -> Any:
@@ -348,14 +387,14 @@ def _register_builtins() -> None:
         _multistep_factory,
         tolerates=lambda ev, cfg: ev.kind == "hard" and ev.phase == PHASE_MULT,
         budgets={"hard": 1},
+        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 21.0, 16.0),
     )
 
 
 # -- the ft_linear protocol variant ------------------------------------------
 
 #: Standard processors in the ft_linear variant's probed column, and the
-#: words of state each one holds.  The verification tools (commcheck,
-#: faultcheck) read the variant's geometry from here.
+#: words of state each one holds.
 FT_LINEAR_COLUMN = 3
 FT_LINEAR_STATE_WORDS = 8
 _FT_LINEAR_WORK_OPS = 6
@@ -440,6 +479,13 @@ def _ft_linear_spec() -> VariantSpec:
     encode -> work window -> boundary agreement -> recovery; the oracle
     checks that every standard rank ends the run holding its original
     state (replacements must have it rebuilt by the code)."""
+    from repro.core.ft_linear import ColumnCode
+
+    def factory(cfg: Any, schedule: FaultSchedule) -> Any:
+        return ColumnCode(
+            column=list(range(FT_LINEAR_COLUMN)),
+            code_ranks=list(range(FT_LINEAR_COLUMN, FT_LINEAR_COLUMN + cfg.f)),
+        )
 
     def make_workload(rng: DeterministicRNG, cfg: Any) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -456,15 +502,11 @@ def _ft_linear_spec() -> VariantSpec:
         cfg: Any,
         trace: Any = None,
     ) -> Execution:
-        from repro.core.ft_linear import ColumnCode
         from repro.machine.engine import Machine
 
         f = cfg.f
         size = FT_LINEAR_COLUMN + f
-        code = ColumnCode(
-            column=list(range(FT_LINEAR_COLUMN)),
-            code_ranks=list(range(FT_LINEAR_COLUMN, size)),
-        )
+        code = factory(cfg, schedule)
         program = _FtLinearProgram(code, cfg.word_bits, size)
 
         machine = Machine(
@@ -507,6 +549,14 @@ def _ft_linear_spec() -> VariantSpec:
         make_workload=make_workload,
         execute=execute,
         tolerates=tolerates,
+        factory=factory,
+        cost=CostContract(
+            lambda fm, n, p, k, f: fm.t_reduce_costs(
+                f, FT_LINEAR_STATE_WORDS, FT_LINEAR_COLUMN + f
+            ),
+            4.0,
+            4.0,
+        ),
     )
 
 

@@ -4,13 +4,13 @@ The graph gives *exact* per-rank word/hop totals for a fault-free run.
 The :mod:`repro.analysis.formulas` predictions are Θ-expressions with
 unit leading constants, and at commcheck's deliberately small default
 sizes (``bits=600``, ``P=9``) additive protocol overhead is a visible
-fraction of the total.  Each variant therefore carries a calibrated
-tolerance factor: ``measured <= tolerance_scale * tol * predicted`` must
-hold for both BW and L.  The tolerances were measured on the live tree
-at the default configuration and given roughly 2x headroom — they absorb
-the honest constants of the implementation, not asymptotic drift, so a
-change that doubles the communication volume of a variant still fails
-the gate.
+fraction of the total.  Each variant's cost contract therefore carries a
+calibrated tolerance: ``measured <= tolerance_scale * tol * predicted``
+must hold for both BW and L.  The tolerances were measured on the live
+tree at the default configuration and given roughly 2x headroom — they
+absorb the honest constants of the implementation, not asymptotic drift,
+so a change that doubles the communication volume of a variant still
+fails the gate.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.formulas import (
-    CostPrediction,
-    ft_toomcook_costs,
-    parallel_toomcook_costs,
-    replication_costs,
-    t_reduce_costs,
-)
-from repro.campaign.registry import FT_LINEAR_COLUMN, FT_LINEAR_STATE_WORDS
+from repro.campaign.registry import CostContract, get_variant
 from repro.commcheck.graph import CommGraph
 
 __all__ = [
@@ -34,22 +27,7 @@ __all__ = [
     "certify",
     "cost_envelope",
     "measured_costs",
-    "TOLERANCES",
 ]
-
-#: Per-variant (tol_bw, tol_l): calibrated on the live tree at the
-#: default (P=9, k=2, f=1, bits=600) with ~2x headroom over the measured
-#: measured/predicted ratio.  See module docstring.
-TOLERANCES: dict[str, tuple[float, float]] = {
-    "parallel": (35.0, 11.0),
-    "ft_linear": (4.0, 4.0),
-    "ft_polynomial": (27.0, 8.0),
-    "ft_toomcook": (50.0, 30.0),
-    "soft_faults": (25.0, 8.0),
-    "checkpoint": (38.0, 12.0),
-    "replication": (35.0, 11.0),
-    "multistep": (21.0, 16.0),
-}
 
 
 @dataclass(frozen=True)
@@ -110,29 +88,15 @@ def measured_costs(graph: CommGraph) -> tuple[float, float]:
     return max(bw.values(), default=0.0), max(l_cost.values(), default=0.0)
 
 
-def _prediction(graph: CommGraph) -> CostPrediction:
-    """Route the variant to its Theorem 5.1-5.3 / Lemma 2.5 predictor."""
-    meta = graph.meta
-    name = meta["variant"]
-    p, k, f = meta["p"], meta["k"], meta["f"]
-    n_words = meta.get("n_words", 0)
-    if name == "ft_linear":
-        return t_reduce_costs(
-            t=f, w_words=FT_LINEAR_STATE_WORDS, p=FT_LINEAR_COLUMN + f
-        )
-    if name == "parallel":
-        return parallel_toomcook_costs(n_words, p, k)
-    if name == "checkpoint":
-        # Checkpointing adds no processors and (fault-free) only local
-        # snapshot traffic on top of the base algorithm.
-        return parallel_toomcook_costs(n_words, p, k)
-    if name == "replication":
-        return replication_costs(n_words, p, k, f)
-    if name == "soft_faults":
-        return ft_toomcook_costs(n_words, p, k, meta.get("f_eff", 2 * f))
-    if name in ("ft_polynomial", "ft_toomcook", "multistep"):
-        return ft_toomcook_costs(n_words, p, k, f)
-    raise ValueError(f"no cost predictor for variant {name!r}")
+def _contract(variant: str) -> CostContract:
+    """The registered variant's cost contract."""
+    try:
+        contract = get_variant(variant).cost
+    except KeyError:
+        contract = None
+    if contract is None:
+        raise ValueError(f"no cost contract for variant {variant!r}")
+    return contract
 
 
 def cost_envelope(
@@ -140,33 +104,31 @@ def cost_envelope(
     n_words: int,
     p: int,
     k: int,
-    f: int,
+    f_eff: int,
     tolerance_scale: float = 1.0,
 ) -> tuple[float, float]:
-    """The (BW, L) certification bounds for a variant at given parameters.
+    """The (BW, L) certification bounds for a variant at given parameters,
+    ``f_eff`` being the redundancy its algorithm runs with.
 
     Shared with the benchmark suite so measured ``phase_cost`` gauges are
     held to the same envelope the commcheck gate enforces.
     """
-    meta: dict[str, Any] = {
-        "variant": variant,
-        "p": p,
-        "k": k,
-        "f": f,
-        "n_words": n_words,
-        "f_eff": 2 * f if variant == "soft_faults" else f,
-    }
-    pred = _prediction(CommGraph(meta=meta, ranks={}))
-    tol_bw, tol_l = TOLERANCES[variant]
-    return tolerance_scale * tol_bw * pred.bw, tolerance_scale * tol_l * pred.l
+    contract = _contract(variant)
+    pred = contract.predict(n_words, p, k, f_eff)
+    return (
+        tolerance_scale * contract.tol_bw * pred.bw,
+        tolerance_scale * contract.tol_l * pred.l,
+    )
 
 
 def certify(graph: CommGraph, tolerance_scale: float = 1.0) -> Certification:
     """Certify one variant's extracted graph against its prediction."""
-    name = graph.meta["variant"]
+    meta = graph.meta
+    name = meta["variant"]
     measured_bw, measured_l = measured_costs(graph)
-    pred = _prediction(graph)
-    tol_bw, tol_l = TOLERANCES[name]
+    contract = _contract(name)
+    pred = contract.predict(meta.get("n_words", 0), meta["p"], meta["k"], meta["f_eff"])
+    tol_bw, tol_l = contract.tol_bw, contract.tol_l
     bound_bw = tolerance_scale * tol_bw * pred.bw
     bound_l = tolerance_scale * tol_l * pred.l
     bw_ok = measured_bw <= bound_bw or math.isclose(measured_bw, bound_bw)

@@ -21,10 +21,10 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import Any
 
-from repro.campaign.registry import FT_LINEAR_COLUMN, get_variant
+from repro.campaign.registry import get_variant, registered_variants
 from repro.campaign.runner import CampaignConfig, _workload_rng
 from repro.commcheck.graph import CommGraph
-from repro.core.plan import make_plan
+from repro.core.layout import FaultGeometry
 from repro.machine.fault import FaultSchedule
 from repro.machine.record import ScheduleRecorder
 from repro.util.env import backend_scope
@@ -32,22 +32,13 @@ from repro.util.env import backend_scope
 __all__ = [
     "COMMCHECK_VARIANTS",
     "ExtractionError",
-    "geometry",
+    "graph_meta",
     "make_config",
     "extract_variant",
 ]
 
-#: The eight algorithm variants, in registry order.
-COMMCHECK_VARIANTS = (
-    "parallel",
-    "ft_linear",
-    "ft_polynomial",
-    "ft_toomcook",
-    "soft_faults",
-    "checkpoint",
-    "replication",
-    "multistep",
-)
+#: The registered algorithm variants, in registry order.
+COMMCHECK_VARIANTS = tuple(spec.name for spec in registered_variants())
 
 
 class ExtractionError(RuntimeError):
@@ -77,55 +68,32 @@ def make_config(
     )
 
 
-def geometry(name: str, cfg: CampaignConfig) -> dict[str, Any]:
-    """Machine geometry for ``name`` under ``cfg`` (mirrors the variant
-    factories in :mod:`repro.campaign.registry`)."""
-    if name == "ft_linear":
-        return {
-            "machine_size": FT_LINEAR_COLUMN + cfg.f,
-            "code_ranks": list(
-                range(FT_LINEAR_COLUMN, FT_LINEAR_COLUMN + cfg.f)
-            ),
-            "f_eff": cfg.f,
-            "n_words": 0,
-        }
-    extra_dfs = 1 if name == "ft_toomcook" else 0
-    plan = make_plan(
-        cfg.bits, p=cfg.p, k=cfg.k, word_bits=cfg.word_bits, extra_dfs=extra_dfs
-    )
-    p, q, f = plan.p, plan.q, cfg.f
-    geo: dict[str, Any] = {
-        "n_words": plan.n_words,
-        "l_bfs": plan.l_bfs,
-        "l_dfs": plan.l_dfs,
-        "f_eff": f,
-        "code_ranks": [],
-        "machine_size": p,
+def graph_meta(name: str, cfg: CampaignConfig, geometry: FaultGeometry) -> dict[str, Any]:
+    """A graph's meta: the extraction parameters plus the variant's
+    geometry, as its algorithm states it."""
+    meta: dict[str, Any] = {
+        "variant": name,
+        "p": cfg.p,
+        "k": cfg.k,
+        "f": cfg.f,
+        "bits": cfg.bits,
+        "word_bits": cfg.word_bits,
+        "seed": cfg.seed,
     }
-    if name == "ft_polynomial":
-        g2 = p // q
-        geo["code_ranks"] = list(range(p, p + f * g2))
-        geo["machine_size"] = p + f * g2
-    elif name == "ft_toomcook":
-        g2 = p // q
-        poly_base = p + f * q
-        geo["code_ranks"] = list(range(poly_base, poly_base + f * g2))
-        geo["machine_size"] = poly_base + f * g2
-    elif name == "soft_faults":
-        f_eff = 2 * f
-        g2 = p // q
-        geo["f_eff"] = f_eff
-        geo["code_ranks"] = list(range(p, p + f_eff * g2))
-        geo["machine_size"] = p + f_eff * g2
-    elif name == "multistep":
-        l = min(2, plan.l_bfs)
-        g2 = p // q**l
-        geo["l"] = l
-        geo["code_ranks"] = list(range(p, p + f * g2))
-        geo["machine_size"] = p + f * g2
-    elif name == "replication":
-        geo["machine_size"] = (f + 1) * p
-    return geo
+    size, code_ranks = geometry.machine_size, list(geometry.code_ranks)
+    # The plain algorithm carries no redundancy; its graphs record the
+    # configured f.
+    f_eff = geometry.f_eff or cfg.f
+    plan = geometry.plan
+    # Key order is part of the JSON report's bytes.
+    if plan is None:
+        meta.update(machine_size=size, code_ranks=code_ranks, f_eff=f_eff, n_words=0)
+    else:
+        meta.update(n_words=plan.n_words, l_bfs=plan.l_bfs, l_dfs=plan.l_dfs)
+        meta.update(f_eff=f_eff, code_ranks=code_ranks, machine_size=size)
+    if geometry.l is not None:
+        meta["l"] = geometry.l
+    return meta
 
 
 def extract_variant(
@@ -165,18 +133,9 @@ def extract_variant(
         raise ExtractionError(
             f"fault-free extraction run of {name!r} produced a wrong result"
         )
-    meta: dict[str, Any] = {
-        "variant": name,
-        "p": cfg.p,
-        "k": cfg.k,
-        "f": cfg.f,
-        "bits": cfg.bits,
-        "word_bits": cfg.word_bits,
-        "seed": cfg.seed,
-    }
-    meta.update(geometry(name, cfg))
+    geometry = spec.fault_geometry(cfg)
     ranks = recorder.ops()
     # Ranks that never communicated still belong in the graph.
-    for rank in range(meta["machine_size"]):
+    for rank in range(geometry.machine_size):
         ranks.setdefault(rank, [])
-    return CommGraph(meta=meta, ranks=ranks)
+    return CommGraph(meta=graph_meta(name, cfg, geometry), ranks=ranks)

@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.bigint.limbs import LimbVector
 from repro.core.ft_polynomial import FaultToleranceExceeded
+from repro.core.layout import ROLE_STANDARD, CodeFamily, Cover, FaultGeometry
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError
@@ -59,6 +60,16 @@ class CheckpointedToomCook(ParallelToomCook):
     def holders(self, rank: int) -> list[int]:
         """The ``f`` neighbours storing ``rank``'s checkpoint."""
         return [(rank + i) % self.plan.p for i in range(1, self.f + 1)]
+
+    def fault_geometry(self) -> FaultGeometry:
+        """Any ``f`` standard ranks restore from their holders' checkpoints."""
+        restored = Cover(ROLE_STANDARD, "restored from the last checkpoint")
+        rollback = CodeFamily(
+            "rollback", "trivial", 1, self.f, (restored,),
+            units=tuple(f"rank-{r}" for r in range(self.plan.p)),
+            mechanism="checkpointed-rank",
+        )
+        return super().fault_geometry()._replace(f_eff=self.f, families=(rollback,))
 
     # -- rank program ------------------------------------------------------------
     def _rank_main(self, comm, va: LimbVector, vb: LimbVector):

@@ -25,6 +25,14 @@ from math import gcd
 from repro.bigint.limbs import LimbVector
 from repro.coding.erasure import recovery_coefficients
 from repro.coding.linear import SystematicCode
+from repro.core.layout import (
+    ROLE_LINEAR,
+    ROLE_STANDARD,
+    CodeFamily,
+    Cover,
+    ErasureUnit,
+    FaultGeometry,
+)
 from repro.machine import collectives
 from repro.machine.errors import MachineError
 
@@ -85,6 +93,14 @@ class ColumnCode:
         self.code_ranks = list(code_ranks)
         self.f = len(code_ranks)
         self.code = SystematicCode(k=len(column), f=self.f)
+
+    def fault_geometry(self) -> FaultGeometry:
+        """This code run on its own: one unit per codeword coordinate."""
+        erased = Cover(ROLE_STANDARD, "erases one codeword coordinate")
+        family = CodeFamily("column-code", "systematic", len(self.column), self.f, (erased,))
+        units = tuple(ErasureUnit(ROLE_STANDARD, (r,)) for r in self.column)
+        units += tuple(ErasureUnit(ROLE_LINEAR, (r,)) for r in self.code_ranks)
+        return FaultGeometry(None, len(units), self.f, units, tuple(self.code_ranks), (family,))
 
     # -- encoding -------------------------------------------------------------
     # repro-lint: in-phase -- runs inside the caller's phase context

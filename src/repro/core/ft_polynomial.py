@@ -35,7 +35,17 @@ from repro.bigint.blockops import (
 )
 from repro.bigint.evalpoints import extended_toom_points
 from repro.bigint.limbs import LimbVector
-from repro.core.layout import CyclicLayout, cyclic_deinterleave, cyclic_merge
+from repro.core.layout import (
+    ROLE_POLY,
+    ROLE_STANDARD,
+    CodeFamily,
+    Cover,
+    CyclicLayout,
+    ErasureUnit,
+    FaultGeometry,
+    cyclic_deinterleave,
+    cyclic_merge,
+)
 from repro.core.parallel_toomcook import (
     TAG_BFS_DOWN,
     TAG_BFS_UP,
@@ -150,6 +160,23 @@ class PolynomialCodedToomCook(ParallelToomCook):
             self._poly_code_base + (j - self.need) * self.g2 + c
             for c in range(self.g2)
         ]
+
+    def fault_geometry(self) -> FaultGeometry:
+        """One erasure unit per column; any ``f`` lost columns decode."""
+        columns = [tuple(self.column_members(j)) for j in range(self.n_columns())]
+        units = tuple(
+            ErasureUnit(ROLE_STANDARD if j < self.need else ROLE_POLY, column)
+            for j, column in enumerate(columns)
+        )
+        lost = "kills the rank's coded column"
+        family = CodeFamily(
+            "poly-columns", "points", self.need, self.f,
+            (Cover(ROLE_STANDARD, lost), Cover(ROLE_POLY, lost)),
+            points=tuple(self.points),
+            soft=self.collect_all,
+        )
+        code_ranks = tuple(r for column in columns[self.need :] for r in column)
+        return FaultGeometry(self.plan, self.machine_size(), self.f, units, code_ranks, (family,))
 
     def _rank_args(self, slices_a, slices_b) -> list[tuple]:
         args: list[tuple] = [

@@ -40,6 +40,7 @@ from repro.core.ft_polynomial import (
     FaultToleranceExceeded,
     PolynomialCodedToomCook,
 )
+from repro.core.layout import ROLE_LINEAR, ROLE_POLY, ROLE_STANDARD, Cover, FaultGeometry
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError, PeerDead
@@ -93,6 +94,29 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
     def machine_size(self) -> int:
         """``P + f*(2k-1) + f*P/(2k-1)`` processors (Figures 1 + 2)."""
         return self.plan.p + self.f * self.plan.q + self.f * self.g2
+
+    def fault_geometry(self) -> FaultGeometry:
+        """The poly code's columns plus one unit per linear-code row."""
+        geometry = super().fault_geometry()
+        window = (
+            "multiplication window: poly code covers the column, "
+            "linear code rebuilds persistent state at the boundary"
+        )
+        columns = geometry.families[0]._replace(
+            covers=(Cover(ROLE_STANDARD, window, ("multiplication",)), Cover(ROLE_POLY, window)),
+        )
+        rebuilt = (
+            "traversal fault: state rebuilt from the column code at the "
+            "task boundary (Section 4.1)"
+        )
+        re_encoded = "re-encoded at the next task boundary (code row loss)"
+        codes = [code.fault_geometry() for code in self._column_codes]
+        rows = tuple(u for code in codes for u in code.units if u.role == ROLE_LINEAR)
+        covers = (Cover(ROLE_LINEAR, re_encoded), Cover(ROLE_STANDARD, rebuilt))
+        linear = codes[0].families[0]._replace(
+            name="linear-column", covers=covers + (Cover(ROLE_POLY, window),)
+        )
+        return geometry._replace(units=geometry.units + rows, families=(columns, linear))
 
     def n_tasks(self) -> int:
         return self.plan.q**self.plan.l_dfs

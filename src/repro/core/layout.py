@@ -17,13 +17,26 @@ The repartition maps are pure index shuffles:
   *interleaves* them (``merged[p] = parts[p mod q][p // q]``);
 - ascending, a result slice *deinterleaves* into ``q`` parts, part ``jp``
   going back to old class ``c' + jp*g'``.
+
+Each algorithm states its processor layout (Section 4) here too, as the
+:class:`FaultGeometry` its ``fault_geometry()`` returns.
 """
 
 from __future__ import annotations
 
+from typing import Any, NamedTuple
+
 from repro.bigint.limbs import LimbVector
+from repro.core.plan import ExecutionPlan
 
 __all__ = ["CyclicLayout", "cyclic_slice", "cyclic_merge", "cyclic_deinterleave"]
+__all__ += ["ErasureUnit", "Cover", "CodeFamily", "FaultGeometry"]
+
+#: A rank's role in a processor layout.
+ROLE_STANDARD = "standard"
+ROLE_LINEAR = "linear-code"
+ROLE_POLY = "poly-code"
+ROLE_REPLICA = "replica"
 
 
 def cyclic_slice(vector: LimbVector, cls: int, g: int) -> LimbVector:
@@ -77,3 +90,61 @@ class CyclicLayout:
         if len(slices) != self.p:
             raise ValueError(f"expected {self.p} slices, got {len(slices)}")
         return cyclic_merge(list(slices))
+
+
+class ErasureUnit(NamedTuple):
+    """Ranks one hard fault condemns together, and their role.  One dead
+    member drops its whole coded column from the in-order interpolation
+    (Section 4.2) or taints its whole replica copy; a codeword coordinate
+    is a unit of its own."""
+
+    role: str
+    members: tuple[int, ...]
+
+
+class Cover(NamedTuple):
+    """A family recovers tolerated faults on ``role`` ranks in ``phases``
+    (empty: any phase); ``reason`` says how.  A family's covers are
+    disjoint."""
+
+    role: str
+    reason: str
+    phases: tuple[str, ...] = ()
+
+
+class CodeFamily(NamedTuple):
+    """One recovery code: any ``budget`` of its units may be erased, and
+    ``needed`` survivors decode.  ``kind`` is ``"points"`` (Theorem 2.1;
+    ``soft``: the decoder also locates silent errors), ``"multivariate"``
+    (points in ``grid = (r, l)``-general position, Claim 6.1),
+    ``"systematic"`` (the Section 4.1 column code) or ``"trivial"``
+    (structural recovery over the labelled ``units``)."""
+
+    name: str
+    kind: str
+    needed: int
+    budget: int
+    covers: tuple[Cover, ...]
+    points: tuple[Any, ...] = ()
+    soft: bool = False
+    grid: tuple[int, int] = (1, 1)
+    units: tuple[str, ...] = ()
+    mechanism: str = ""
+
+
+class FaultGeometry(NamedTuple):
+    """A variant's processor layout, as its algorithm object states it.
+    ``units`` partition ``range(machine_size)``; ``code_ranks`` are the
+    polynomial code's columns (or the column code's rows); ``l`` counts
+    the BFS steps a multi-step code combines."""
+
+    plan: ExecutionPlan | None
+    machine_size: int
+    f_eff: int
+    units: tuple[ErasureUnit, ...]
+    code_ranks: tuple[int, ...] = ()
+    families: tuple[CodeFamily, ...] = ()
+    l: int | None = None
+
+    def unit_of(self, rank: int) -> ErasureUnit:
+        return next(unit for unit in self.units if rank in unit.members)

@@ -34,6 +34,7 @@ from repro.bigint.limbs import LimbVector
 from repro.bigint.multivariate import evaluation_matrix_multivariate, monomials
 from repro.coding.point_search import multistep_evaluation_points
 from repro.core.ft_polynomial import PolynomialCodedToomCook
+from repro.core.layout import FaultGeometry
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.fault import FaultSchedule
@@ -133,6 +134,17 @@ class MultiStepToomCook(PolynomialCodedToomCook):
             // plan.p
             for exps in monomials(plan.q, l)
         ]
+
+    def fault_geometry(self) -> FaultGeometry:
+        """The columns decode from the multivariate points (Claim 6.1)."""
+        geometry = super().fault_geometry()
+        columns = geometry.families[0]._replace(
+            name="multivariate-columns",
+            kind="multivariate",
+            points=self.multi_points,
+            grid=(self.plan.q, self.l),
+        )
+        return geometry._replace(l=self.l, families=(columns,))
 
     # -- multivariate decoding ---------------------------------------------------
     def _decoder(self, chosen) -> BlockOperator:

@@ -40,7 +40,14 @@ from repro.bigint.blockops import (
 from repro.bigint.evalpoints import EvalPoint, toom_points
 from repro.bigint.lazy import LazyToomCook
 from repro.bigint.limbs import LimbVector
-from repro.core.layout import CyclicLayout, cyclic_deinterleave, cyclic_merge
+from repro.core.layout import (
+    ROLE_STANDARD,
+    CyclicLayout,
+    ErasureUnit,
+    FaultGeometry,
+    cyclic_deinterleave,
+    cyclic_merge,
+)
 from repro.core.plan import ExecutionPlan
 from repro.machine.engine import Machine, RunResult
 from repro.machine.fault import FaultSchedule
@@ -113,6 +120,11 @@ class ParallelToomCook:
     def machine_size(self) -> int:
         """Total processors (standard only for the base algorithm)."""
         return self.plan.p
+
+    def fault_geometry(self) -> FaultGeometry:
+        """``P`` standard ranks, each its own erasure unit, and no code."""
+        units = tuple(ErasureUnit(ROLE_STANDARD, (r,)) for r in range(self.plan.p))
+        return FaultGeometry(self.plan, self.machine_size(), 0, units)
 
     def _make_machine(self) -> Machine:
         return Machine(

@@ -17,7 +17,14 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.core.layout import CyclicLayout
+from repro.core.layout import (
+    ROLE_REPLICA,
+    CodeFamily,
+    Cover,
+    CyclicLayout,
+    ErasureUnit,
+    FaultGeometry,
+)
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError
@@ -54,6 +61,18 @@ class ReplicatedToomCook(ParallelToomCook):
     def machine_size(self) -> int:
         """``(f+1) * P`` processors: ``f * P`` additional (Theorem 5.3)."""
         return self.copies * self.plan.p
+
+    def fault_geometry(self) -> FaultGeometry:
+        """Each copy is one erasure unit; any ``f`` copies may be lost."""
+        p, copies = self.plan.p, range(self.copies)
+        tainted = Cover(ROLE_REPLICA, "taints the rank's copy group")
+        groups = CodeFamily(
+            "replica-groups", "trivial", 1, self.f, (tainted,),
+            units=tuple(f"group-{c}" for c in copies),
+            mechanism="replica",
+        )
+        units = tuple(ErasureUnit(ROLE_REPLICA, tuple(range(c * p, c * p + p))) for c in copies)
+        return FaultGeometry(self.plan, self.machine_size(), self.f, units, families=(groups,))
 
     def _rank_args(self, slices_a, slices_b) -> list[tuple]:
         args = []

@@ -41,8 +41,6 @@ from repro.faultcheck.space import (
     FaultSpace,
     SpaceError,
     enumerate_space,
-    rank_role,
-    unit_members,
 )
 
 __all__ = [
@@ -63,9 +61,7 @@ __all__ = [
     "prove_decodability",
     "prove_exhaustion",
     "prove_schedules",
-    "rank_role",
     "render_text",
     "run_faultcheck",
     "to_json",
-    "unit_members",
 ]

@@ -23,7 +23,8 @@ The class-to-unit ``coverage`` map ties the enumerated fault space
 (:mod:`repro.faultcheck.space`) to these families: every *tolerated*
 hard/soft class must be covered by at least one family, and every
 uncovered class carries the structural reason its faults are loud by
-design.
+design.  The families, and what each covers, are read from the
+algorithm's own :class:`~repro.core.layout.FaultGeometry`.
 """
 
 from __future__ import annotations
@@ -32,24 +33,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
-from repro.bigint.evalpoints import extended_toom_points, points_pairwise_distinct
+from repro.bigint.evalpoints import points_pairwise_distinct
 from repro.bigint.matrices import interpolation_matrix_for_points
 from repro.bigint.multivariate import evaluation_matrix_multivariate
-from repro.campaign.registry import FT_LINEAR_COLUMN
-from repro.campaign.runner import CampaignConfig
 from repro.coding.erasure import recovery_coefficients
 from repro.coding.general_position import is_general_position
 from repro.coding.linear import SystematicCode
-from repro.coding.point_search import multistep_evaluation_points
-from repro.core.plan import make_plan
-from repro.faultcheck.space import (
-    ROLE_LINEAR,
-    ROLE_POLY,
-    ROLE_REPLICA,
-    ROLE_STANDARD,
-    EquivClass,
-    FaultSpace,
-)
+from repro.core.layout import CodeFamily, FaultGeometry
+from repro.faultcheck.space import EquivClass, FaultSpace
 from repro.util.rational import mat_det
 
 __all__ = [
@@ -59,10 +50,6 @@ __all__ = [
     "DecodeReport",
     "prove_decodability",
 ]
-
-#: Phases in which the combined algorithm's *linear* column code is the
-#: recovery mechanism for standard ranks (task-boundary encode/recover).
-_TRAVERSAL_PHASES = ("evaluation", "multiplication", "interpolation")
 
 
 @dataclass(frozen=True)
@@ -180,12 +167,12 @@ def _sweep(
     return within, beyond
 
 
-def _poly_column_family(
-    name: str, points: list, needed: int, budget: int
-) -> FamilyReport:
+def _poly_column_family(family: CodeFamily) -> FamilyReport:
     """Coded-column family: any ``needed`` surviving columns interpolate
     via the in-order choice ``sorted(survivors)[:needed]`` (the exact
-    subset :meth:`PolynomialCodedToomCook._interpolate_columns` inverts)."""
+    subset :meth:`PolynomialCodedToomCook._interpolate_columns` inverts).
+    A soft decoder adds its error/erasure trade-off."""
+    points, needed, budget = list(family.points), family.needed, family.budget
     n = len(points)
     units = tuple(f"col-{j}" for j in range(n))
     distinct = points_pairwise_distinct(points)
@@ -219,7 +206,7 @@ def _poly_column_family(
 
     within, beyond = _sweep(units, needed, budget, decodable, detected)
     report = FamilyReport(
-        name=name,
+        name=family.name,
         units=units,
         needed=needed,
         budget=budget,
@@ -231,14 +218,20 @@ def _poly_column_family(
         report.within.append(
             SubsetCheck(units=(), ok=False, proof=precondition)
         )
+    if family.soft:
+        soft_within, soft_beyond, frontier = _soft_error_analysis(budget)
+        report.within.extend(soft_within)
+        report.beyond.extend(soft_beyond)
+        report.notes.extend(frontier)
     return report
 
 
-def _linear_code_family(name: str, k: int, f: int) -> FamilyReport:
+def _linear_code_family(family: CodeFamily) -> FamilyReport:
     """Systematic ``(k+f, k, f+1)`` column-code family: any ``f`` erased
     codeword coordinates are recoverable from the survivor generator rows
     (Definition 2.7 / Section 4.1), which is exactly what
     :func:`repro.coding.erasure.recovery_coefficients` solves."""
+    name, k, f = family.name, family.needed, family.budget
     code = SystematicCode(k, f)
     units = tuple(
         [f"data-{i}" for i in range(k)] + [f"code-{i}" for i in range(f)]
@@ -289,14 +282,12 @@ def _linear_code_family(name: str, k: int, f: int) -> FamilyReport:
     return report
 
 
-def _multivariate_family(
-    name: str, points: list, k: int, l: int, f: int
-) -> FamilyReport:
+def _multivariate_family(family: CodeFamily) -> FamilyReport:
     """Multi-step coded columns: any ``(2k-1)**l`` surviving columns must
     give an invertible multivariate evaluation matrix (Claim 6.1) — the
     matrix :meth:`MultiStepToomCook._interpolate_columns` inverts."""
-    r = 2 * k - 1
-    needed = r**l
+    points, needed, f = family.points, family.needed, family.budget
+    r, l = family.grid
     n = len(points)
     units = tuple(f"col-{j}" for j in range(n))
     gp = is_general_position(points, r, l)
@@ -331,7 +322,7 @@ def _multivariate_family(
 
     within, beyond = _sweep(units, needed, f, decodable, detected)
     report = FamilyReport(
-        name=name,
+        name=family.name,
         units=units,
         needed=needed,
         budget=f,
@@ -398,12 +389,11 @@ def _soft_error_analysis(
     return within, beyond, frontier
 
 
-def _trivial_family(
-    name: str, units: tuple[str, ...], budget: int, mechanism: str
-) -> FamilyReport:
+def _trivial_family(family: CodeFamily) -> FamilyReport:
     """A family whose recovery is structural (no coding matrix): replica
     groups and checkpoint rollback.  Decodability is a counting argument;
     beyond-budget detection is delegated to the replay prover."""
+    units, budget, mechanism = family.units, family.budget, family.mechanism
 
     def decodable(subset: tuple[int, ...]) -> tuple[bool, str]:
         live = len(units) - len(subset)
@@ -419,7 +409,7 @@ def _trivial_family(
 
     within, beyond = _sweep(units, 1, budget, decodable, detected)
     return FamilyReport(
-        name=name,
+        name=family.name,
         units=units,
         needed=1,
         budget=budget,
@@ -429,142 +419,61 @@ def _trivial_family(
     )
 
 
-# -- per-variant models ------------------------------------------------------
+#: The proof for each family kind (:class:`~repro.core.layout.CodeFamily`).
+_FAMILY_PROOFS: dict[str, Callable[[CodeFamily], FamilyReport]] = {
+    "points": _poly_column_family,
+    "systematic": _linear_code_family,
+    "multivariate": _multivariate_family,
+    "trivial": _trivial_family,
+}
 
 
-def _cover(
-    cls: EquivClass, families: tuple[str, ...], reason: str
-) -> ClassCoverage:
-    return ClassCoverage(class_id=cls.id, families=families, reason=reason)
+# -- class coverage ------------------------------------------------------------
 
 
-def _coverage_for(
-    variant: str, cls: EquivClass, family_names: list[str]
-) -> ClassCoverage:
+def _coverage_for(cls: EquivClass, geometry: FaultGeometry) -> ClassCoverage:
     """Which families recover a fault of class ``cls``.
 
     Delay faults stretch virtual time only — no data is lost, so no
     family is needed; untolerated hard/soft classes are loud by contract;
-    tolerated classes map to the family whose units their role erases.
+    a tolerated class maps to every family covering its role and phase,
+    for the first one's reason.
     """
     if cls.kind == "delay":
-        return _cover(
-            cls, (), "delay: virtual-time stretch only, no data erased"
-        )
+        return ClassCoverage(cls.id, (), "delay: virtual-time stretch only, no data erased")
     if not cls.tolerated:
-        return _cover(
-            cls,
+        return ClassCoverage(
+            cls.id,
             (),
             "outside the tolerance contract: fault must surface loudly "
             "(certified by the exhaustion prover)",
         )
-    if variant == "ft_linear":
-        return _cover(cls, ("column-code",), "erases one codeword coordinate")
-    if variant in ("ft_polynomial", "soft_faults"):
-        return _cover(cls, ("poly-columns",), "kills the rank's coded column")
-    if variant == "multistep":
-        return _cover(
-            cls, ("multivariate-columns",), "kills the rank's coded column"
-        )
-    if variant == "checkpoint":
-        return _cover(cls, ("rollback",), "restored from the last checkpoint")
-    if variant == "replication":
-        return _cover(cls, ("replica-groups",), "taints the rank's copy group")
-    if variant == "ft_toomcook":
-        if cls.role == ROLE_LINEAR:
-            return _cover(
-                cls,
-                ("linear-column",),
-                "re-encoded at the next task boundary (code row loss)",
-            )
-        if cls.phase == "multiplication" or cls.role == ROLE_POLY:
-            return _cover(
-                cls,
-                ("poly-columns", "linear-column"),
-                "multiplication window: poly code covers the column, "
-                "linear code rebuilds persistent state at the boundary",
-            )
-        return _cover(
-            cls,
-            ("linear-column",),
-            "traversal fault: state rebuilt from the column code at the "
-            "task boundary (Section 4.1)",
-        )
-    return _cover(cls, (), "no recovery mechanism")
-
-
-def _families_for(variant: str, cfg: CampaignConfig) -> list[FamilyReport]:
-    p, k, f = cfg.p, cfg.k, cfg.f
-    q = 2 * k - 1
-    if variant == "parallel":
-        return []
-    if variant == "ft_linear":
-        return [_linear_code_family("column-code", FT_LINEAR_COLUMN, f)]
-    if variant == "ft_polynomial":
-        points = extended_toom_points(k, f)
-        return [_poly_column_family("poly-columns", points, q, f)]
-    if variant == "ft_toomcook":
-        points = extended_toom_points(k, f)
-        g2 = p // q
-        return [
-            _poly_column_family("poly-columns", points, q, f),
-            _linear_code_family("linear-column", g2, f),
-        ]
-    if variant == "soft_faults":
-        f_eff = 2 * f
-        points = extended_toom_points(k, f_eff)
-        fam = _poly_column_family("poly-columns", points, q, f_eff)
-        soft_within, soft_beyond, frontier = _soft_error_analysis(f_eff)
-        fam.within.extend(soft_within)
-        fam.beyond.extend(soft_beyond)
-        fam.notes.extend(frontier)
-        return [fam]
-    if variant == "checkpoint":
-        return [
-            _trivial_family(
-                "rollback",
-                tuple(f"rank-{r}" for r in range(p)),
-                f,
-                "checkpointed-rank",
-            )
-        ]
-    if variant == "replication":
-        return [
-            _trivial_family(
-                "replica-groups",
-                tuple(f"group-{g}" for g in range(f + 1)),
-                f,
-                "replica",
-            )
-        ]
-    if variant == "multistep":
-        plan = make_plan(cfg.bits, p=p, k=k, word_bits=cfg.word_bits)
-        l = min(2, plan.l_bfs)
-        points = multistep_evaluation_points(k, l, f)
-        return [_multivariate_family("multivariate-columns", points, k, l, f)]
-    raise ValueError(f"no decodability model for variant {variant!r}")
+    covering = [
+        (family.name, cover.reason)
+        for family in geometry.families
+        for cover in family.covers
+        if cover.role == cls.role and (not cover.phases or cls.phase in cover.phases)
+    ]
+    if not covering:
+        return ClassCoverage(cls.id, (), "no recovery mechanism")
+    return ClassCoverage(cls.id, tuple(name for name, _ in covering), covering[0][1])
 
 
 def prove_decodability(space: FaultSpace) -> DecodeReport:
     """Prove every within-budget erasure pattern decodable and map every
     equivalence class to the family that recovers it."""
-    variant = space.variant
-    families = _families_for(variant, space.cfg)
-    by_name = {f.name: f for f in families}
+    families = [
+        _FAMILY_PROOFS[family.kind](family) for family in space.geometry.families
+    ]
     coverage: list[ClassCoverage] = []
     problems: list[str] = []
     for cls in space.classes:
-        cov = _coverage_for(variant, cls, list(by_name))
+        cov = _coverage_for(cls, space.geometry)
         coverage.append(cov)
         if cls.tolerated and cls.kind in ("hard", "soft") and not cov.families:
             problems.append(
                 f"tolerated class {cls.id} maps to no recovery family"
             )
-        for fam in cov.families:
-            if fam not in by_name:
-                problems.append(
-                    f"class {cls.id} claims unknown family {fam!r}"
-                )
     for fam in families:
         for check in fam.within:
             if not check.ok:
@@ -579,7 +488,7 @@ def prove_decodability(space: FaultSpace) -> DecodeReport:
                     f"{list(check.units)} not provably detected: {check.proof}"
                 )
     return DecodeReport(
-        variant=variant,
+        variant=space.variant,
         families=families,
         coverage=coverage,
         problems=problems,

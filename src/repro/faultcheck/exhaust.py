@@ -38,12 +38,7 @@ from repro.campaign.oracle import (
 )
 from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import _workload_rng
-from repro.faultcheck.space import (
-    EquivClass,
-    FaultPoint,
-    FaultSpace,
-    unit_members,
-)
+from repro.faultcheck.space import EquivClass, FaultPoint, FaultSpace
 from repro.machine.fault import FaultSchedule
 
 __all__ = ["ExhaustCheck", "ExhaustReport", "prove_exhaustion"]
@@ -108,10 +103,6 @@ class ExhaustReport:
         }
 
 
-def _unit_key(variant: str, rank: int, cfg: Any) -> tuple[int, ...]:
-    return unit_members(variant, rank, cfg)
-
-
 def _distinct_unit_points(
     space: FaultSpace,
     classes: list[EquivClass],
@@ -127,14 +118,10 @@ def _distinct_unit_points(
     borrowed = 0
     for class_index, cls in enumerate(classes):
         for rank in cls.ranks:
-            unit = _unit_key(space.variant, rank, space.cfg)
+            unit = space.geometry.unit_of(rank).members
             if unit in used_units:
                 continue
-            point = next(
-                p
-                for p in _class_points_on_rank(space, cls, rank)
-            )
-            chosen.append(point)
+            chosen.append(next(_class_points_on_rank(space, cls, rank)))
             used_units.add(unit)
             if class_index > 0:
                 borrowed += 1

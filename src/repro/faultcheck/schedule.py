@@ -35,14 +35,10 @@ from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import _workload_rng
 from repro.commcheck.certify import cost_envelope, measured_costs
 from repro.commcheck.checker import Finding, check_graph
-from repro.commcheck.extract import geometry
+from repro.commcheck.extract import graph_meta
 from repro.commcheck.graph import CommGraph
-from repro.faultcheck.space import (
-    EquivClass,
-    FaultPoint,
-    FaultSpace,
-    unit_members,
-)
+from repro.core.layout import ROLE_REPLICA
+from repro.faultcheck.space import EquivClass, FaultPoint, FaultSpace
 from repro.machine.fault import FaultSchedule
 from repro.machine.record import ScheduleRecorder
 
@@ -169,30 +165,19 @@ def build_fault_graph(
 ) -> tuple[CommGraph, set[int]]:
     """Assemble the fault-annotated graph for one replay.
 
-    Meta mirrors :func:`repro.commcheck.extract.extract_variant` plus the
-    fault annotation: the injected events that fired and the ranks they
-    killed.
+    Meta is :func:`repro.commcheck.extract.graph_meta` plus the fault
+    annotation: the injected events that fired and the ranks they killed.
     """
-    cfg = space.cfg
-    geo = geometry(space.variant, cfg)
+    geometry = space.geometry
     dead = {ev.rank for ev in fired if ev.kind == "hard"}
     # A hard fault condemns its whole erasure unit: the coded column /
     # replica group the in-order decode drops along with the dead rank.
     condemned: set[int] = set()
     for rank in dead:
-        condemned.update(unit_members(space.variant, rank, cfg))
-    for rank in range(geo["machine_size"]):
+        condemned.update(geometry.unit_of(rank).members)
+    for rank in range(geometry.machine_size):
         ranks.setdefault(rank, [])
-    meta: dict[str, Any] = {
-        "variant": space.variant,
-        "p": cfg.p,
-        "k": cfg.k,
-        "f": cfg.f,
-        "bits": cfg.bits,
-        "word_bits": cfg.word_bits,
-        "seed": cfg.seed,
-    }
-    meta.update(geo)
+    meta = graph_meta(space.variant, space.cfg, geometry)
     meta["faults"] = [
         {
             "rank": ev.rank,
@@ -234,7 +219,7 @@ def replay_class_representative(
         int(graph.meta.get("n_words", 0)),
         cfg.p,
         cfg.k,
-        cfg.f,
+        graph.meta["f_eff"],
         tolerance_scale=tolerance_scale * FAULT_MODE_SCALE,
     )
     evidence = _harvest_evidence(graph.ranks)
@@ -271,12 +256,12 @@ def replay_class_representative(
             f"fault-mode L {measured_l:.0f} exceeds envelope "
             f"{bound_l:.1f} (= {FAULT_MODE_SCALE:g} x fault-free bound)"
         )
-    # Replication recovers by *selection* — the surviving group's result
-    # is used, no replacement or abort ever runs — so markers are only
-    # demanded of the variants whose recovery is an active protocol.
+    # A replica recovers by *selection* — the surviving group's result is
+    # used, no replacement or abort ever runs — so markers are only
+    # demanded of ranks whose recovery is an active protocol.
     if (
         point.kind == "hard"
-        and space.variant != "replication"
+        and space.geometry.unit_of(point.rank).role != ROLE_REPLICA
         and not (
             evidence.aborts or evidence.replacements or evidence.reincarnated
         )

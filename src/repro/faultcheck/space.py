@@ -18,7 +18,8 @@ protocol branch and the same decoding condition, differing only in
 exhaustively at the unit level (:mod:`repro.faultcheck.decode`).  The
 enumerator *verifies* rather than assumes the contract half of this: it
 evaluates ``spec.tolerates`` on every concrete point and fails loudly if
-a class mixes tolerated and untolerated points.
+a class mixes tolerated and untolerated points.  Roles and units are read
+from the algorithm's own :class:`~repro.core.layout.FaultGeometry`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.campaign.probe import DOMAIN_OF_KIND, OpSpace, probe_variant
-from repro.campaign.registry import FT_LINEAR_COLUMN, VariantSpec, get_variant
+from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import CampaignConfig, _workload_rng
 from repro.commcheck.extract import COMMCHECK_VARIANTS
+from repro.core.layout import FaultGeometry
 from repro.machine.fault import FaultEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,18 +43,11 @@ __all__ = [
     "EquivClass",
     "FaultSpace",
     "SpaceError",
-    "rank_role",
-    "unit_members",
     "enumerate_space",
 ]
 
 #: The variants faultcheck certifies: commcheck's eight, in registry order.
 FAULTCHECK_VARIANTS = COMMCHECK_VARIANTS
-
-ROLE_STANDARD = "standard"
-ROLE_LINEAR = "linear-code"
-ROLE_POLY = "poly-code"
-ROLE_REPLICA = "replica"
 
 
 class SpaceError(RuntimeError):
@@ -114,83 +109,27 @@ class EquivClass:
         }
 
 
-def rank_role(variant: str, rank: int, cfg: CampaignConfig) -> str:
-    """The symmetry role of ``rank`` in ``variant``'s machine geometry
-    (mirrors the registry factories and :func:`repro.commcheck.extract.geometry`)."""
-    p, q, f = cfg.p, 2 * cfg.k - 1, cfg.f
-    if variant == "ft_linear":
-        return ROLE_STANDARD if rank < FT_LINEAR_COLUMN else ROLE_LINEAR
-    if variant in ("parallel", "checkpoint"):
-        return ROLE_STANDARD
-    if variant == "replication":
-        return ROLE_REPLICA
-    if variant == "ft_toomcook":
-        if rank < p:
-            return ROLE_STANDARD
-        if rank < p + f * q:
-            return ROLE_LINEAR
-        return ROLE_POLY
-    # ft_polynomial / soft_faults / multistep: [P standard | code columns].
-    return ROLE_STANDARD if rank < p else ROLE_POLY
-
-
-def unit_members(variant: str, rank: int, cfg: CampaignConfig) -> tuple[int, ...]:
-    """Ranks sharing ``rank``'s erasure unit — the granularity at which a
-    fault condemns work.
-
-    A fault erases its whole unit, not just its rank: killing one member
-    of a coded column drops the column from the in-order interpolation
-    (the survivors' ascent messages are discarded, Section 4.2), and
-    killing one replica taints its whole copy group.  The decodability
-    families (:mod:`repro.faultcheck.decode`) count erasures in exactly
-    these units; the recovery-schedule prover uses the same map to tell
-    fault-condemned orphans from genuine schedule bugs.
-    """
-    p, q, f = cfg.p, 2 * cfg.k - 1, cfg.f
-    g2 = p // q
-    if variant == "replication":
-        group = rank // p
-        return tuple(range(group * p, (group + 1) * p))
-    if variant in ("ft_polynomial", "soft_faults"):
-        if rank < p:
-            j = rank // g2
-            return tuple(range(j * g2, (j + 1) * g2))
-        j2 = (rank - p) // g2
-        return tuple(range(p + j2 * g2, p + (j2 + 1) * g2))
-    if variant == "ft_toomcook":
-        if rank < p:
-            j = rank // g2
-            return tuple(range(j * g2, (j + 1) * g2))
-        base = p + f * q
-        if rank < base:
-            # Linear code rows are individual codeword coordinates.
-            return (rank,)
-        j2 = (rank - base) // g2
-        return tuple(range(base + j2 * g2, base + (j2 + 1) * g2))
-    # ft_linear coordinates, multistep's singleton columns (g2 = p//q**l),
-    # checkpoint's per-rank rollback, parallel, replicas of nothing: the
-    # rank is its own unit.
-    return (rank,)
-
-
 def _class_id(kind: str, phase: str, role: str, tolerated: bool) -> str:
     suffix = "tol" if tolerated else "untol"
     return f"{kind}.{phase}.{role}.{suffix}"
 
 
 class FaultSpace:
-    """The complete enumerated fault space of one variant."""
+    """The complete enumerated fault space of one variant, with the
+    variant's processor layout (``geometry``) it was classified by."""
 
     def __init__(
         self,
         variant: str,
         cfg: CampaignConfig,
+        geometry: FaultGeometry,
         opspace: OpSpace,
         classes: list[EquivClass],
         total_points: int,
     ) -> None:
         self.variant = variant
         self.cfg = cfg
+        self.geometry = geometry
         self.opspace = opspace
         self.classes = classes
         self.total_points = total_points
@@ -212,7 +151,7 @@ class FaultSpace:
             return None
         if ev.op_index not in self.opspace.ops(ev.rank, ev.phase, domain):
             return None
-        role = rank_role(self.variant, ev.rank, self.cfg)
+        role = self.geometry.unit_of(ev.rank).role
         for tolerated in (True, False):
             cid = _class_id(ev.kind, ev.phase, role, tolerated)
             if cid in self._by_id:
@@ -238,6 +177,7 @@ def enumerate_space(
     into :class:`EquivClass`es keyed ``(kind, phase, role, tolerated)``.
     """
     spec = spec or get_variant(name)
+    geometry = spec.fault_geometry(cfg)
     workload = spec.make_workload(_workload_rng(cfg.seed, name), cfg)
     opspace, _ = probe_variant(spec, workload, cfg)
 
@@ -246,7 +186,7 @@ def enumerate_space(
     for kind in sorted(spec.kinds):
         domain = DOMAIN_OF_KIND[kind]
         for cell in opspace.cells(domain):
-            role = rank_role(name, cell.rank, cfg)
+            role = geometry.unit_of(cell.rank).role
             tol = _cell_tolerated(spec, cell, kind, cfg)
             key = (kind, cell.phase, role, tol)
             points = buckets.setdefault(key, [])
@@ -287,7 +227,12 @@ def enumerate_space(
             )
         )
     return FaultSpace(
-        variant=name, cfg=cfg, opspace=opspace, classes=classes, total_points=total
+        variant=name,
+        cfg=cfg,
+        geometry=geometry,
+        opspace=opspace,
+        classes=classes,
+        total_points=total,
     )
 
 

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.registry import get_variant
 from repro.commcheck.extract import make_config
-from repro.faultcheck.space import (
-    FAULTCHECK_VARIANTS,
-    enumerate_space,
-    rank_role,
-    unit_members,
-)
+from repro.faultcheck.space import FAULTCHECK_VARIANTS, enumerate_space
 
 
 @pytest.fixture(scope="module")
@@ -84,47 +80,48 @@ class TestClassification:
         assert linear_space.classify_event(alien) is None
 
 
+def unit_members(variant, rank, cfg):
+    return get_variant(variant).fault_geometry(cfg).unit_of(rank).members
+
+
 class TestErasureUnits:
-    """A hard fault condemns its whole erasure unit (see schedule prover)."""
+    """A hard fault condemns its whole erasure unit (see schedule prover);
+    the units come from the algorithm's own record."""
 
     def test_polynomial_columns(self, cfg):
         # g2 = p // (2k-1) = 3 ranks per coded column.
-        assert tuple(unit_members("ft_polynomial", 0, cfg)) == (0, 1, 2)
-        assert tuple(unit_members("ft_polynomial", 4, cfg)) == (3, 4, 5)
+        assert unit_members("ft_polynomial", 0, cfg) == (0, 1, 2)
+        assert unit_members("ft_polynomial", 4, cfg) == (3, 4, 5)
         # Code ranks group into columns too, offset from p.
-        assert tuple(unit_members("ft_polynomial", 9, cfg)) == (9, 10, 11)
-        assert tuple(unit_members("ft_polynomial", 11, cfg)) == (9, 10, 11)
+        assert unit_members("ft_polynomial", 9, cfg) == (9, 10, 11)
+        assert unit_members("ft_polynomial", 11, cfg) == (9, 10, 11)
 
     def test_replication_whole_group(self, cfg):
-        assert tuple(unit_members("replication", 0, cfg)) == tuple(range(9))
-        assert tuple(unit_members("replication", 10, cfg)) == tuple(
-            range(9, 18)
-        )
+        assert unit_members("replication", 0, cfg) == tuple(range(9))
+        assert unit_members("replication", 10, cfg) == tuple(range(9, 18))
 
     def test_linear_code_singletons(self, cfg):
         # The linear code erases per-coordinate, not per-column.
-        assert tuple(unit_members("ft_linear", 3, cfg)) == (3,)
-        assert tuple(unit_members("ft_linear", 10, cfg)) == (10,)
+        assert unit_members("ft_linear", 2, cfg) == (2,)
+        assert unit_members("ft_linear", 3, cfg) == (3,)
 
     def test_toomcook_mixed_units(self, cfg):
         # Standard ranks: poly columns; linear-code rows: singletons;
         # poly-code ranks: columns again, offset past the linear rows.
-        assert tuple(unit_members("ft_toomcook", 0, cfg)) == (0, 1, 2)
-        assert tuple(unit_members("ft_toomcook", 10, cfg)) == (10,)
-        assert tuple(unit_members("ft_toomcook", 13, cfg)) == (12, 13, 14)
+        assert unit_members("ft_toomcook", 0, cfg) == (0, 1, 2)
+        assert unit_members("ft_toomcook", 10, cfg) == (10,)
+        assert unit_members("ft_toomcook", 13, cfg) == (12, 13, 14)
 
     def test_units_are_self_consistent(self, cfg):
         # Membership is symmetric: every rank in my unit has my unit.
         for variant in ("ft_polynomial", "replication", "ft_toomcook"):
             for rank in range(12):
-                unit = tuple(unit_members(variant, rank, cfg))
+                unit = unit_members(variant, rank, cfg)
                 assert rank in unit
                 for member in unit:
-                    assert tuple(unit_members(variant, member, cfg)) == unit
+                    assert unit_members(variant, member, cfg) == unit
 
     def test_roles_partition_ranks(self, cfg):
-        for rank in range(12):
-            assert rank_role("ft_linear", rank, cfg) in (
-                "standard",
-                "linear-code",
-            )
+        geometry = get_variant("ft_linear").fault_geometry(cfg)
+        roles = [geometry.unit_of(rank).role for rank in range(geometry.machine_size)]
+        assert roles == ["standard"] * 3 + ["linear-code"] * cfg.f
