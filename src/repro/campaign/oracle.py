@@ -16,9 +16,10 @@ Everything else is a defect: a wrong product under any budget, a loud
 failure *within* budget, a hang (deadlock or a thread that never
 terminated), or an untyped crash.
 
-Budgets are classified from the *scheduled* events, which is conservative
-in the right direction: an event that never fires leaves the run clean, so
-a "must" schedule whose events all miss still has to produce the exact
+Budgets are classified from the *scheduled* events against the variant's
+:class:`~repro.core.layout.FaultGeometry`, which is conservative in the
+right direction: an event that never fires leaves the run clean, so a
+"must" schedule whose events all miss still has to produce the exact
 result.
 """
 
@@ -30,6 +31,7 @@ from repro.machine.errors import DeadlockError, MachineError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.registry import Execution
+    from repro.core.layout import FaultGeometry
     from repro.machine.fault import FaultEvent
 
 __all__ = [
@@ -42,22 +44,27 @@ __all__ = [
     "VERDICT_CRASH",
     "DEFECT_VERDICTS",
     "classify",
-    "delay_only",
+    "schedule_budget",
 ]
 
 
-def delay_only(events: Sequence["FaultEvent"]) -> bool:
-    """True for a non-empty schedule made of nothing but delay events.
-
-    Delay faults (the paper's third category — a processor's average time
-    per operation increases) stretch *virtual time* only; no data is lost
-    and no protocol branch is taken, so no tolerance contract can be
-    exceeded.  :meth:`~repro.campaign.registry.VariantSpec.budget` uses
-    this as a universal rule: every delay-only schedule (e.g. the
-    ``straggler`` shape) is ``"must"`` — the result has to be exact — for
-    every variant, including those with custom budget rules.
+def schedule_budget(events: Sequence["FaultEvent"], geometry: "FaultGeometry") -> str:
+    """``"must"`` when every non-delay event is a first-incarnation fault
+    the geometry tolerates and together they fit every family's
+    correction radius (hard faults erase, soft ones err); ``"may"``
+    otherwise.  Delays (the paper's third fault category) stretch virtual
+    time only, so a delay-only schedule is ``"must"`` for every variant.
     """
-    return bool(events) and all(ev.kind == "delay" for ev in events)
+    counts = {"hard": 0, "soft": 0}
+    for ev in events:
+        if ev.kind == "delay":
+            continue
+        if ev.incarnation != 0 or not geometry.tolerates(ev.kind, ev.rank, ev.phase):
+            return "may"
+        counts[ev.kind] += 1
+    fits = (family.correctable(counts["hard"], counts["soft"]) for family in geometry.families)
+    return "must" if all(fits) else "may"
+
 
 #: Exact result on a fault-free-equivalent ("must") schedule.
 VERDICT_EXACT = "exact"

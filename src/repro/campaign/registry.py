@@ -3,23 +3,18 @@
 Every fault-tolerant (and deliberately non-tolerant) algorithm in the
 repo registers here as a :class:`VariantSpec` so a campaign can enumerate
 them uniformly: build a seeded workload, execute it under an arbitrary
-:class:`~repro.machine.fault.FaultSchedule`, and — crucially — declare its
-*tolerance contract*: which fault cells it promises to survive and how
-many.  The oracle turns that contract into verdicts
-(:mod:`repro.campaign.oracle`).
-
-Contracts are deliberately written down per variant instead of inferred,
-because they differ: the polynomial code only covers the multiplication
-window, the combined algorithm covers evaluation/multiplication/
-interpolation on standard ranks plus the boundary protocol on its code
-rows, replication covers any single rank anywhere, and the soft-fault
-variant obeys the MDS rule ``hard + 2*soft <= f``.
+:class:`~repro.machine.fault.FaultSchedule`, and build the algorithm
+object a trial runs.  That object's
+:class:`~repro.core.layout.FaultGeometry` is the variant's *tolerance
+contract*: its code families say which faults it survives (the roles and
+phases each covers) and how many (each family's redundancy).  The oracle
+turns that contract into verdicts (:mod:`repro.campaign.oracle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 from repro.machine.fault import FaultEvent, FaultSchedule
 from repro.util.rng import DeterministicRNG
@@ -32,14 +27,6 @@ __all__ = [
     "registered_variants",
     "get_variant",
 ]
-
-PHASE_EVAL = "evaluation"
-PHASE_MULT = "multiplication"
-PHASE_INTERP = "interpolation"
-PHASE_CODE = "code-creation"
-PHASE_RECOV = "recovery"
-
-_TRAVERSAL_PHASES = (PHASE_EVAL, PHASE_MULT, PHASE_INTERP)
 
 
 @dataclass(frozen=True)
@@ -81,13 +68,6 @@ class CostContract(NamedTuple):
 class VariantSpec:
     """One campaign-runnable algorithm variant.
 
-    ``kinds`` lists the fault kinds worth injecting (soft events only fire
-    in programs that call ``soft_fault_point``).  ``tolerates`` judges a
-    single event against the variant's contract; ``budgets`` caps the
-    per-kind counts of tolerated events (``delay`` events never count —
-    they only stretch virtual time).  ``budget_rule`` optionally replaces
-    the default counting rule (the soft variant's MDS constraint).
-
     ``execute(workload, schedule, cfg, trace=None)`` runs one trial; the
     optional ``trace`` is a :class:`~repro.obs.tracer.Tracer` — the
     forensic re-run of a minimized failure passes a recording one, and
@@ -95,55 +75,20 @@ class VariantSpec:
     :class:`~repro.machine.record.ScheduleRecorder`.
 
     ``factory(cfg, schedule)`` builds the algorithm object a trial runs,
-    whose ``fault_geometry()`` is the variant's one layout record;
-    ``cost`` is its :class:`CostContract`.
+    whose ``fault_geometry()`` is the variant's one layout record and
+    tolerance contract; ``cost`` is its :class:`CostContract`.
     """
 
     name: str
     description: str
-    kinds: tuple[str, ...]
-    budgets: dict[str, int]
     make_workload: Callable[[DeterministicRNG, Any], Any]
     execute: Callable[..., Execution]
-    tolerates: Callable[[FaultEvent, Any], bool]
-    budget_rule: Callable[[Sequence[FaultEvent], Any], str] | None = None
-    factory: Callable[[Any, FaultSchedule], Any] | None = None
+    factory: Callable[[Any, FaultSchedule], Any]
     cost: CostContract | None = None
 
     def fault_geometry(self, cfg: Any) -> Any:
         """The algorithm's :class:`~repro.core.layout.FaultGeometry`."""
-        if self.factory is None:
-            raise ValueError(f"variant {self.name!r} has no algorithm factory")
         return self.factory(cfg, FaultSchedule()).fault_geometry()
-
-    def budget(self, events: Sequence[FaultEvent], cfg: Any) -> str:
-        """Classify a schedule against the contract.
-
-        ``"must"``: every event is inside the tolerance budget, so the run
-        must produce the exact result.  ``"may"``: the schedule exceeds
-        the contract, so a loud, typed failure is also acceptable.
-        """
-        from repro.campaign.oracle import delay_only
-
-        if delay_only(events):
-            # Universal rule, applied ahead of any custom budget_rule:
-            # slowdowns never lose data or take a protocol branch, so a
-            # delay-only schedule (the straggler shape) demands exactness
-            # from every variant.
-            return "must"
-        if self.budget_rule is not None:
-            return self.budget_rule(events, cfg)
-        counts: dict[str, int] = {}
-        for ev in events:
-            if ev.kind == "delay":
-                continue
-            if ev.incarnation != 0 or not self.tolerates(ev, cfg):
-                return "may"
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        for kind in sorted(counts):
-            if counts[kind] > self.budgets.get(kind, 0):
-                return "may"
-        return "must"
 
 
 _REGISTRY: dict[str, VariantSpec] = {}
@@ -203,11 +148,7 @@ def _multiply_variant(
     name: str,
     description: str,
     factory: Callable[[Any, FaultSchedule], Any],
-    tolerates: Callable[[FaultEvent, Any], bool],
-    budgets: dict[str, int],
     cost: CostContract,
-    kinds: tuple[str, ...] = ("hard", "delay"),
-    budget_rule: Callable[[Sequence[FaultEvent], Any], str] | None = None,
 ) -> VariantSpec:
     def execute(
         workload: Any,
@@ -228,12 +169,8 @@ def _multiply_variant(
         VariantSpec(
             name=name,
             description=description,
-            kinds=kinds,
-            budgets=budgets,
             make_workload=_operand_workload,
             execute=execute,
-            tolerates=tolerates,
-            budget_rule=budget_rule,
             factory=factory,
             cost=cost,
         )
@@ -249,7 +186,6 @@ def _plan(cfg: Any, extra_dfs: int = 0) -> Any:
 
 
 # -- built-in variants -------------------------------------------------------
-# The rank ranges in these contracts follow each algorithm's fault_geometry().
 
 
 def _register_builtins() -> None:
@@ -267,9 +203,7 @@ def _register_builtins() -> None:
         lambda cfg, sched: ParallelToomCook(
             _plan(cfg), fault_schedule=sched, timeout=cfg.timeout
         ),
-        tolerates=lambda ev, cfg: False,
-        budgets={},
-        cost=CostContract(lambda fm, n, p, k, f: fm.parallel_toomcook_costs(n, p, k), 35.0, 11.0),
+        CostContract(lambda fm, n, p, k, f: fm.parallel_toomcook_costs(n, p, k), 35.0, 11.0),
     )
 
     register_variant(_ft_linear_spec())
@@ -281,28 +215,8 @@ def _register_builtins() -> None:
         lambda cfg, sched: PolynomialCodedToomCook(
             _plan(cfg), f=cfg.f, fault_schedule=sched, timeout=cfg.timeout
         ),
-        # Top-level *evaluation* exchange ops are not covered (losing a
-        # rank there kills every column it feeds — only the combined
-        # algorithm's linear code covers evaluation); interpolation and
-        # multiplication ops always land inside a column, which the
-        # redundant evaluation points do cover.
-        tolerates=lambda ev, cfg: ev.kind == "hard"
-        and ev.phase in (PHASE_MULT, PHASE_INTERP),
-        budgets={"hard": 1},
-        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 27.0, 8.0),
+        CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 27.0, 8.0),
     )
-
-    def _ft_toomcook_tolerates(ev: FaultEvent, cfg: Any) -> bool:
-        if ev.kind != "hard":
-            return False
-        p = cfg.p
-        q = 2 * cfg.k - 1
-        linear_rows = range(p, p + cfg.f * q)
-        if ev.rank < p or ev.rank >= linear_rows.stop:
-            # Standard and poly-code ranks recover inside the task loop.
-            return ev.phase in _TRAVERSAL_PHASES
-        # Linear-code rows only execute the boundary protocol.
-        return ev.phase in (PHASE_CODE, PHASE_RECOV)
 
     _multiply_variant(
         "ft_toomcook",
@@ -311,39 +225,18 @@ def _register_builtins() -> None:
         lambda cfg, sched: FaultTolerantToomCook(
             _plan(cfg, extra_dfs=1), f=cfg.f, fault_schedule=sched, timeout=cfg.timeout
         ),
-        tolerates=_ft_toomcook_tolerates,
-        budgets={"hard": 1},
-        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 50.0, 30.0),
+        CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 50.0, 30.0),
     )
-
-    def _soft_redundancy(cfg: Any) -> int:
-        return 2 * cfg.f  # the soft variant runs with doubled redundancy
-
-    def _soft_budget(events: Sequence[FaultEvent], cfg: Any) -> str:
-        f = _soft_redundancy(cfg)
-        hard = sum(1 for ev in events if ev.kind == "hard")
-        soft = sum(1 for ev in events if ev.kind == "soft")
-        for ev in events:
-            if ev.kind == "delay":
-                continue
-            if ev.incarnation != 0 or ev.phase != PHASE_MULT:
-                return "may"
-        # MDS decoding: s erasures + e errors decodable iff s + 2e <= f.
-        return "must" if hard + 2 * soft <= f else "may"
 
     _multiply_variant(
         "soft_faults",
         "soft-fault hardened interpolation: detects f, corrects floor(f/2) "
         "silent miscalculations (Section 7)",
+        # The soft variant runs with doubled redundancy.
         lambda cfg, sched: SoftTolerantToomCook(
-            _plan(cfg), f=_soft_redundancy(cfg), fault_schedule=sched, timeout=cfg.timeout
+            _plan(cfg), f=2 * cfg.f, fault_schedule=sched, timeout=cfg.timeout
         ),
-        tolerates=lambda ev, cfg: ev.phase == PHASE_MULT
-        and ev.kind in ("hard", "soft"),
-        budgets={"hard": 2, "soft": 1},
-        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 25.0, 8.0),
-        kinds=("soft", "hard", "delay"),
-        budget_rule=_soft_budget,
+        CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 25.0, 8.0),
     )
 
     _multiply_variant(
@@ -352,11 +245,7 @@ def _register_builtins() -> None:
         lambda cfg, sched: CheckpointedToomCook(
             _plan(cfg), f=cfg.f, fault_schedule=sched, timeout=cfg.timeout
         ),
-        tolerates=lambda ev, cfg: ev.kind == "hard"
-        and ev.rank < cfg.p
-        and ev.phase in _TRAVERSAL_PHASES,
-        budgets={"hard": 1},
-        cost=CostContract(lambda fm, n, p, k, f: fm.parallel_toomcook_costs(n, p, k), 38.0, 12.0),
+        CostContract(lambda fm, n, p, k, f: fm.parallel_toomcook_costs(n, p, k), 38.0, 12.0),
     )
 
     _multiply_variant(
@@ -365,9 +254,7 @@ def _register_builtins() -> None:
         lambda cfg, sched: ReplicatedToomCook(
             _plan(cfg), f=cfg.f, fault_schedule=sched, timeout=cfg.timeout
         ),
-        tolerates=lambda ev, cfg: ev.kind == "hard",
-        budgets={"hard": 1},
-        cost=CostContract(lambda fm, n, p, k, f: fm.replication_costs(n, p, k, f), 35.0, 11.0),
+        CostContract(lambda fm, n, p, k, f: fm.replication_costs(n, p, k, f), 35.0, 11.0),
     )
 
     def _multistep_factory(cfg: Any, sched: FaultSchedule) -> Any:
@@ -385,9 +272,7 @@ def _register_builtins() -> None:
         "l combined BFS steps with multivariate polynomial coding "
         "(Sections 4.3/6.1)",
         _multistep_factory,
-        tolerates=lambda ev, cfg: ev.kind == "hard" and ev.phase == PHASE_MULT,
-        budgets={"hard": 1},
-        cost=CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 21.0, 16.0),
+        CostContract(lambda fm, n, p, k, f: fm.ft_toomcook_costs(n, p, k, f), 21.0, 16.0),
     )
 
 
@@ -411,6 +296,15 @@ class _FtLinearProgram:
         self.word_bits = word_bits
         self.size = size
 
+    def fault_geometry(self) -> Any:
+        """The column code's record, its cover narrowed to the work
+        window: the program rebuilds only state lost between encoding
+        and the boundary."""
+        geometry = self.code.fault_geometry()
+        family = geometry.families[0]
+        covers = tuple(cover._replace(phases=("work",)) for cover in family.covers)
+        return geometry._replace(families=(family._replace(covers=covers),))
+
     def __call__(
         self, comm: Any, limbs: tuple[int, ...] | None
     ) -> tuple[int, ...] | None:
@@ -425,7 +319,7 @@ class _FtLinearProgram:
         word = None
         lost = False
         try:
-            with comm.phase(PHASE_CODE):
+            with comm.phase("code-creation"):
                 if comm.rank < FT_LINEAR_COLUMN:
                     code.encode(comm, state, epoch=0)
                 else:
@@ -456,7 +350,7 @@ class _FtLinearProgram:
         dead_standard = sorted(r for r in dead if r < FT_LINEAR_COLUMN)
         stale_codes = sorted(r for r in dead if r >= FT_LINEAR_COLUMN)
         if dead_standard:
-            with comm.phase(PHASE_RECOV):
+            with comm.phase("recovery"):
                 recovered = code.recover(
                     comm,
                     dead=dead_standard,
@@ -481,11 +375,13 @@ def _ft_linear_spec() -> VariantSpec:
     state (replacements must have it rebuilt by the code)."""
     from repro.core.ft_linear import ColumnCode
 
-    def factory(cfg: Any, schedule: FaultSchedule) -> Any:
-        return ColumnCode(
+    def factory(cfg: Any, schedule: FaultSchedule) -> _FtLinearProgram:
+        size = FT_LINEAR_COLUMN + cfg.f
+        code = ColumnCode(
             column=list(range(FT_LINEAR_COLUMN)),
-            code_ranks=list(range(FT_LINEAR_COLUMN, FT_LINEAR_COLUMN + cfg.f)),
+            code_ranks=list(range(FT_LINEAR_COLUMN, size)),
         )
+        return _FtLinearProgram(code, cfg.word_bits, size)
 
     def make_workload(rng: DeterministicRNG, cfg: Any) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -504,19 +400,15 @@ def _ft_linear_spec() -> VariantSpec:
     ) -> Execution:
         from repro.machine.engine import Machine
 
-        f = cfg.f
-        size = FT_LINEAR_COLUMN + f
-        code = factory(cfg, schedule)
-        program = _FtLinearProgram(code, cfg.word_bits, size)
-
+        program = factory(cfg, schedule)
         machine = Machine(
-            size,
+            program.size,
             word_bits=cfg.word_bits,
             fault_schedule=schedule,
             timeout=cfg.timeout,
             trace=trace,
         )
-        rank_args = [(w,) for w in workload] + [(None,)] * f
+        rank_args = [(w,) for w in workload] + [(None,)] * cfg.f
         try:
             run = machine.run(program, rank_args=rank_args)
         except Exception as exc:  # noqa: BLE001 - the oracle classifies it
@@ -533,22 +425,12 @@ def _ft_linear_spec() -> VariantSpec:
             fired=tuple(schedule.fired),
         )
 
-    def tolerates(ev: FaultEvent, cfg: Any) -> bool:
-        return (
-            ev.kind == "hard"
-            and ev.rank < FT_LINEAR_COLUMN
-            and ev.phase == "work"
-        )
-
     return VariantSpec(
         name="ft_linear",
         description="linear (Vandermonde) column code protecting persistent "
         "state (Section 4.1), run as a standalone protocol",
-        kinds=("hard", "delay"),
-        budgets={"hard": 1},
         make_workload=make_workload,
         execute=execute,
-        tolerates=tolerates,
         factory=factory,
         cost=CostContract(
             lambda fm, n, p, k, f: fm.t_reduce_costs(

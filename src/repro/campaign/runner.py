@@ -32,10 +32,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.campaign.minimize import minimize_schedule
-from repro.campaign.oracle import DEFECT_VERDICTS, classify
+from repro.campaign.oracle import DEFECT_VERDICTS, classify, schedule_budget
 from repro.campaign.probe import ProbeFailure, probe_variant
 from repro.campaign.registry import Execution, VariantSpec, get_variant, registered_variants
 from repro.campaign.sampler import ScheduleSampler
+from repro.core.layout import FaultGeometry
 from repro.machine.fault import FaultEvent, FaultSchedule
 from repro.obs.forensics import fault_timeline
 from repro.obs.metrics import MetricsRegistry
@@ -213,6 +214,7 @@ def _render_snippet(
 
 def _minimize_failure(
     spec: VariantSpec,
+    geometry: FaultGeometry,
     workload: object,
     cfg: CampaignConfig,
     trial_index: int,
@@ -226,7 +228,7 @@ def _minimize_failure(
     def is_failing(candidate: list[FaultEvent]) -> bool:
         schedule = FaultSchedule(list(candidate))
         ex = spec.execute(workload, schedule, cfg)
-        return classify(ex, spec.budget(candidate, cfg)) == verdict
+        return classify(ex, schedule_budget(candidate, geometry)) == verdict
 
     if cfg.minimize and events:
         result = minimize_schedule(
@@ -278,14 +280,15 @@ def _run_variant(
             failures=(),
         )
     metrics.gauge_set("campaign_op_cells", len(opspace), variant=spec.name)
-    sampler = ScheduleSampler(_sampler_rng(cfg.seed, spec.name), spec, opspace, cfg)
+    geometry = spec.fault_geometry(cfg)
+    sampler = ScheduleSampler(_sampler_rng(cfg.seed, spec.name), geometry, opspace)
     trials: list[TrialRecord] = []
     failures: list[FailureReport] = []
     for index in range(cfg.trials):
         shape, events = sampler.draw()
         schedule = FaultSchedule(list(events))
         execution = spec.execute(workload, schedule, cfg)
-        budget = spec.budget(events, cfg)
+        budget = schedule_budget(events, geometry)
         verdict = classify(execution, budget)
         metrics.inc("campaign_trials_total", variant=spec.name, verdict=verdict)
         metrics.inc(
@@ -312,7 +315,7 @@ def _run_variant(
         if verdict in DEFECT_VERDICTS and len(failures) < cfg.max_minimize:
             failures.append(
                 _minimize_failure(
-                    spec, workload, cfg, index, events, verdict, execution, metrics
+                    spec, geometry, workload, cfg, index, events, verdict, execution, metrics
                 )
             )
     return VariantReport(
@@ -398,7 +401,7 @@ def run_trial(
     workload = spec.make_workload(_workload_rng(seed, variant), cfg)
     schedule = FaultSchedule(list(events))
     execution = spec.execute(workload, schedule, cfg, trace)
-    budget = spec.budget(list(events), cfg)
+    budget = schedule_budget(events, spec.fault_geometry(cfg))
     return ReplayOutcome(
         variant=variant,
         budget=budget,

@@ -20,7 +20,7 @@ from repro.machine.fault import FaultEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.probe import Cell, OpSpace
-    from repro.campaign.registry import VariantSpec
+    from repro.core.layout import FaultGeometry
     from repro.util.rng import DeterministicRNG
 
 __all__ = ["ScheduleSampler", "SHAPES"]
@@ -52,42 +52,30 @@ _STRAGGLER_MAX_VICTIMS = 3
 
 class ScheduleSampler:
     """Draws seeded fault schedules for one variant from its measured op
-    space.  All randomness flows through the injected ``rng``; identical
-    seeds and op spaces yield identical schedules."""
+    space, against its :class:`~repro.core.layout.FaultGeometry`.  All
+    randomness flows through the injected ``rng``; identical seeds and op
+    spaces yield identical schedules."""
 
     def __init__(
         self,
         rng: "DeterministicRNG",
-        spec: "VariantSpec",
+        geometry: "FaultGeometry",
         opspace: "OpSpace",
-        cfg: object,
     ) -> None:
         self._rng = rng
-        self._spec = spec
-        self._cfg = cfg
+        self._budget = geometry.budget("hard")
         self._machine_cells = opspace.cells("machine")
-        self._soft_cells = (
-            opspace.cells("soft") if "soft" in spec.kinds else []
-        )
-        self._tolerated = [
-            c for c in self._machine_cells if self._cell_tolerated(c, "hard")
-        ]
-        self._untolerated = [
-            c for c in self._machine_cells if not self._cell_tolerated(c, "hard")
-        ]
+        soft_cells = opspace.cells("soft") if "soft" in geometry.kinds else []
+        hard = {c: geometry.tolerates("hard", c.rank, c.phase) for c in self._machine_cells}
+        self._tolerated = [c for c, ok in hard.items() if ok]
+        self._untolerated = [c for c, ok in hard.items() if not ok]
         self._soft_tolerated = [
-            c for c in self._soft_cells if self._cell_tolerated(c, "soft")
+            c for c in soft_cells if geometry.tolerates("soft", c.rank, c.phase)
         ]
         self._menu: list[str] = []
         for name, weight in SHAPES:
             if self._available(name):
                 self._menu.extend([name] * weight)
-
-    def _cell_tolerated(self, cell: "Cell", kind: str) -> bool:
-        probe = FaultEvent(
-            rank=cell.rank, phase=cell.phase, op_index=cell.ops[0], kind=kind
-        )
-        return self._spec.tolerates(probe, self._cfg)
 
     def _available(self, shape: str) -> bool:
         if shape == "empty":
@@ -163,8 +151,7 @@ class ScheduleSampler:
                 self._event(self._pick(others), "hard"),
             ]
         if shape == "beyond-budget-burst":
-            budget = self._spec.budgets.get("hard", 0)
-            count = budget + 1
+            count = self._budget + 1
             events = []
             ranks_used: set[int] = set()
             for _ in range(count):

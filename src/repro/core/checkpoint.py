@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.bigint.limbs import LimbVector
 from repro.core.ft_polynomial import FaultToleranceExceeded
-from repro.core.layout import ROLE_STANDARD, CodeFamily, Cover, FaultGeometry
+from repro.core.layout import ROLE_STANDARD, TRAVERSAL_PHASES, CodeFamily, Cover, FaultGeometry
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError
@@ -63,7 +63,8 @@ class CheckpointedToomCook(ParallelToomCook):
 
     def fault_geometry(self) -> FaultGeometry:
         """Any ``f`` standard ranks restore from their holders' checkpoints."""
-        restored = Cover(ROLE_STANDARD, "restored from the last checkpoint")
+        # A fault while the checkpoint itself is taken is not covered.
+        restored = Cover(ROLE_STANDARD, "restored from the last checkpoint", TRAVERSAL_PHASES)
         rollback = CodeFamily(
             "rollback", "trivial", 1, self.f, (restored,),
             units=tuple(f"rank-{r}" for r in range(self.plan.p)),

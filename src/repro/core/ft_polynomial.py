@@ -92,6 +92,12 @@ class PolynomialCodedToomCook(ParallelToomCook):
     #: Erasure decoding stops collecting at ``need`` columns; soft-fault
     #: decoding collects every live column.
     collect_all = False
+    #: Phases whose hard faults the redundant columns absorb.  Top-level
+    #: evaluation exchange ops are not covered: losing a rank there kills
+    #: every column it feeds, and only the combined algorithm's linear
+    #: code covers evaluation.  Multiplication and interpolation ops always
+    #: land inside one column, which the redundant points do cover.
+    recovery_phases = ("multiplication", "interpolation")
 
     def __init__(
         self,
@@ -171,7 +177,10 @@ class PolynomialCodedToomCook(ParallelToomCook):
         lost = "kills the rank's coded column"
         family = CodeFamily(
             "poly-columns", "points", self.need, self.f,
-            (Cover(ROLE_STANDARD, lost), Cover(ROLE_POLY, lost)),
+            (
+                Cover(ROLE_STANDARD, lost, self.recovery_phases),
+                Cover(ROLE_POLY, lost, self.recovery_phases),
+            ),
             points=tuple(self.points),
             soft=self.collect_all,
         )

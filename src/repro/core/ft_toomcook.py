@@ -40,7 +40,14 @@ from repro.core.ft_polynomial import (
     FaultToleranceExceeded,
     PolynomialCodedToomCook,
 )
-from repro.core.layout import ROLE_LINEAR, ROLE_POLY, ROLE_STANDARD, Cover, FaultGeometry
+from repro.core.layout import (
+    ROLE_LINEAR,
+    ROLE_POLY,
+    ROLE_STANDARD,
+    TRAVERSAL_PHASES,
+    Cover,
+    FaultGeometry,
+)
 from repro.core.parallel_toomcook import ParallelToomCook
 from repro.core.plan import ExecutionPlan
 from repro.machine.errors import HardFault, MachineError, PeerDead
@@ -102,8 +109,9 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
             "multiplication window: poly code covers the column, "
             "linear code rebuilds persistent state at the boundary"
         )
+        poly_window = Cover(ROLE_POLY, window, TRAVERSAL_PHASES)
         columns = geometry.families[0]._replace(
-            covers=(Cover(ROLE_STANDARD, window, ("multiplication",)), Cover(ROLE_POLY, window)),
+            covers=(Cover(ROLE_STANDARD, window, ("multiplication",)), poly_window),
         )
         rebuilt = (
             "traversal fault: state rebuilt from the column code at the "
@@ -112,10 +120,13 @@ class FaultTolerantToomCook(PolynomialCodedToomCook):
         re_encoded = "re-encoded at the next task boundary (code row loss)"
         codes = [code.fault_geometry() for code in self._column_codes]
         rows = tuple(u for code in codes for u in code.units if u.role == ROLE_LINEAR)
-        covers = (Cover(ROLE_LINEAR, re_encoded), Cover(ROLE_STANDARD, rebuilt))
-        linear = codes[0].families[0]._replace(
-            name="linear-column", covers=covers + (Cover(ROLE_POLY, window),)
+        # Code rows only run the boundary protocol.
+        covers = (
+            Cover(ROLE_LINEAR, re_encoded, ("code-creation", "recovery")),
+            Cover(ROLE_STANDARD, rebuilt, TRAVERSAL_PHASES),
+            poly_window,
         )
+        linear = codes[0].families[0]._replace(name="linear-column", covers=covers)
         return geometry._replace(units=geometry.units + rows, families=(columns, linear))
 
     def n_tasks(self) -> int:

@@ -37,6 +37,9 @@ ROLE_STANDARD = "standard"
 ROLE_LINEAR = "linear-code"
 ROLE_POLY = "poly-code"
 ROLE_REPLICA = "replica"
+#: The phases of the recursion's traversal, where the coded algorithms
+#: recover a lost rank inside the task loop.
+TRAVERSAL_PHASES = ("evaluation", "multiplication", "interpolation")
 
 
 def cyclic_slice(vector: LimbVector, cls: int, g: int) -> LimbVector:
@@ -103,9 +106,10 @@ class ErasureUnit(NamedTuple):
 
 
 class Cover(NamedTuple):
-    """A family recovers tolerated faults on ``role`` ranks in ``phases``
-    (empty: any phase); ``reason`` says how.  A family's covers are
-    disjoint."""
+    """A family recovers faults on ``role`` ranks in ``phases`` (empty:
+    any phase); ``reason`` says how.  A family's covers are disjoint.
+    Together the covers are the variant's tolerance contract: a fault
+    that no cover matches must surface loudly."""
 
     role: str
     reason: str
@@ -131,12 +135,25 @@ class CodeFamily(NamedTuple):
     units: tuple[str, ...] = ()
     mechanism: str = ""
 
+    # With distance budget + 1, an error costs two units of redundancy
+    # and an erasure one; after s erasures the residual distance is
+    # budget + 1 - s.
+    def correctable(self, erasures: int, errors: int) -> bool:
+        """Whether the code decodes ``erasures`` lost units plus
+        ``errors`` silent ones uniquely."""
+        return erasures + 2 * errors <= self.budget
+
+    def detectable(self, erasures: int, errors: int) -> bool:
+        """Whether no other codeword lies within reach of the pattern."""
+        return erasures + errors <= self.budget
+
 
 class FaultGeometry(NamedTuple):
     """A variant's processor layout, as its algorithm object states it.
     ``units`` partition ``range(machine_size)``; ``code_ranks`` are the
     polynomial code's columns (or the column code's rows); ``l`` counts
-    the BFS steps a multi-step code combines."""
+    the BFS steps a multi-step code combines.  Its families are the
+    variant's tolerance contract: which faults it survives and how many."""
 
     plan: ExecutionPlan | None
     machine_size: int
@@ -147,4 +164,40 @@ class FaultGeometry(NamedTuple):
     l: int | None = None
 
     def unit_of(self, rank: int) -> ErasureUnit:
-        return next(unit for unit in self.units if rank in unit.members)
+        for unit in self.units:
+            if rank in unit.members:
+                return unit
+        raise ValueError(f"rank {rank} is not in the {self.machine_size}-rank machine")
+
+    def covering(self, role: str, phase: str) -> list[tuple[CodeFamily, Cover]]:
+        """Every family cover that recovers a fault on a ``role`` rank in
+        ``phase``, in family order."""
+        return [
+            (family, cover)
+            for family in self.families
+            for cover in family.covers
+            if cover.role == role and (not cover.phases or phase in cover.phases)
+        ]
+
+    def tolerates(self, kind: str, rank: int, phase: str) -> bool:
+        """A hard fault is tolerated where a family covers the rank's role
+        in ``phase``, a silent (soft) one only where that family's decoder
+        locates errors.  A delay erases nothing, so no budget counts it."""
+        if kind == "delay" or not 0 <= rank < self.machine_size:
+            return False
+        covering = self.covering(self.unit_of(rank).role, phase)
+        return any(kind == "hard" or family.soft for family, _ in covering)
+
+    def budget(self, kind: str) -> int:
+        """Tolerated ``kind`` faults one schedule may hold: the tightest
+        family's budget, halved for silent errors."""
+        budget = min((family.budget for family in self.families), default=0)
+        return budget // 2 if kind == "soft" else budget
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """Fault kinds worth injecting: soft events only fire in the
+        programs whose decoder checks for them."""
+        if any(family.soft for family in self.families):
+            return ("hard", "delay", "soft")
+        return ("hard", "delay")

@@ -93,6 +93,8 @@ class MultiStepToomCook(PolynomialCodedToomCook):
         code columns of ``P/(2k-1)**l`` processors.
     """
 
+    recovery_phases = ("multiplication",)
+
     def __init__(
         self,
         plan: ExecutionPlan,

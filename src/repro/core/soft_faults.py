@@ -50,6 +50,7 @@ class SoftTolerantToomCook(PolynomialCodedToomCook):
 
     #: The subset search needs every live column, not just ``2k-1``.
     collect_all = True
+    recovery_phases = ("multiplication",)
 
     def __init__(
         self,

@@ -39,7 +39,6 @@ from repro.faultcheck.space import (
     EquivClass,
     FaultPoint,
     FaultSpace,
-    SpaceError,
     enumerate_space,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "FaultPoint",
     "FaultSpace",
     "ScheduleReport",
-    "SpaceError",
     "VariantCertificate",
     "certificate_json",
     "check_coverage",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import _sampler_rng
 from repro.campaign.sampler import ScheduleSampler
 from repro.faultcheck.space import FaultSpace
@@ -67,14 +66,11 @@ class CoverageReport:
 
 
 def check_coverage(
-    space: FaultSpace,
-    spec: VariantSpec | None = None,
-    trials: int = DEFAULT_COVERAGE_TRIALS,
+    space: FaultSpace, trials: int = DEFAULT_COVERAGE_TRIALS
 ) -> CoverageReport:
     """Re-derive ``trials`` campaign draws and classify every event."""
-    spec = spec or get_variant(space.variant)
     sampler = ScheduleSampler(
-        _sampler_rng(space.cfg.seed, space.variant), spec, space.opspace, space.cfg
+        _sampler_rng(space.cfg.seed, space.variant), space.geometry, space.opspace
     )
     hits: dict[str, int] = {cls.id: 0 for cls in space.classes}
     shape_counts: dict[str, int] = {}

@@ -21,10 +21,10 @@ executing a multiplication, that
 
 The class-to-unit ``coverage`` map ties the enumerated fault space
 (:mod:`repro.faultcheck.space`) to these families: every *tolerated*
-hard/soft class must be covered by at least one family, and every
-uncovered class carries the structural reason its faults are loud by
-design.  The families, and what each covers, are read from the
-algorithm's own :class:`~repro.core.layout.FaultGeometry`.
+hard/soft class names the families covering it (tolerated means covered,
+by construction), and every other class carries the reason its faults
+are loud by design.  The families, and what each covers, are read from
+the algorithm's own :class:`~repro.core.layout.FaultGeometry`.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def _poly_column_family(family: CodeFamily) -> FamilyReport:
             SubsetCheck(units=(), ok=False, proof=precondition)
         )
     if family.soft:
-        soft_within, soft_beyond, frontier = _soft_error_analysis(budget)
+        soft_within, soft_beyond, frontier = _soft_error_analysis(family)
         report.within.extend(soft_within)
         report.beyond.extend(soft_beyond)
         report.notes.extend(frontier)
@@ -336,26 +336,27 @@ def _multivariate_family(family: CodeFamily) -> FamilyReport:
 
 
 def _soft_error_analysis(
-    f_eff: int,
+    family: CodeFamily,
 ) -> tuple[list[SubsetCheck], list[SubsetCheck], list[str]]:
     """The soft variant's MDS error/erasure trade-off (Section 7).
 
     With distance ``f_eff + 1``, ``s`` erasures plus ``e`` silent errors
     are *correctable* iff ``s + 2e <= f_eff`` and *detectable* iff
-    ``s + e <= f_eff`` (after ``s`` erasures the residual distance is
-    ``f_eff + 1 - s``).  Patterns past the detection radius are
+    ``s + e <= f_eff`` (:meth:`~repro.core.layout.CodeFamily.correctable`
+    and ``detectable``).  Patterns past the detection radius are
     information-theoretically invisible to any MDS code — verified
     empirically (``s=2, e=1`` at the defaults yields a silent wrong
     product) — so they are documented as the contract's frontier rather
     than claimed loud.  The class-wise budget-exhaustion schedules all
     stay inside the detection radius.
     """
+    f_eff = family.budget
     within: list[SubsetCheck] = []
     beyond: list[SubsetCheck] = []
     frontier: list[str] = []
     for s in range(f_eff + 2):
         for e in range(f_eff + 2 - s):
-            if s + 2 * e <= f_eff:
+            if family.correctable(s, e):
                 within.append(
                     SubsetCheck(
                         units=(f"s={s}", f"e={e}"),
@@ -366,7 +367,7 @@ def _soft_error_analysis(
                         ),
                     )
                 )
-            elif s + e <= f_eff:
+            elif family.detectable(s, e):
                 beyond.append(
                     SubsetCheck(
                         units=(f"s={s}", f"e={e}"),
@@ -436,8 +437,9 @@ def _coverage_for(cls: EquivClass, geometry: FaultGeometry) -> ClassCoverage:
 
     Delay faults stretch virtual time only — no data is lost, so no
     family is needed; untolerated hard/soft classes are loud by contract;
-    a tolerated class maps to every family covering its role and phase,
-    for the first one's reason.
+    a tolerated class maps to every family covering its role and phase
+    (at least one, since covers define tolerance), for the first one's
+    reason.
     """
     if cls.kind == "delay":
         return ClassCoverage(cls.id, (), "delay: virtual-time stretch only, no data erased")
@@ -448,15 +450,10 @@ def _coverage_for(cls: EquivClass, geometry: FaultGeometry) -> ClassCoverage:
             "outside the tolerance contract: fault must surface loudly "
             "(certified by the exhaustion prover)",
         )
-    covering = [
-        (family.name, cover.reason)
-        for family in geometry.families
-        for cover in family.covers
-        if cover.role == cls.role and (not cover.phases or cls.phase in cover.phases)
-    ]
-    if not covering:
-        return ClassCoverage(cls.id, (), "no recovery mechanism")
-    return ClassCoverage(cls.id, tuple(name for name, _ in covering), covering[0][1])
+    covering = geometry.covering(cls.role, cls.phase)
+    return ClassCoverage(
+        cls.id, tuple(family.name for family, _ in covering), covering[0][1].reason
+    )
 
 
 def prove_decodability(space: FaultSpace) -> DecodeReport:
@@ -465,15 +462,8 @@ def prove_decodability(space: FaultSpace) -> DecodeReport:
     families = [
         _FAMILY_PROOFS[family.kind](family) for family in space.geometry.families
     ]
-    coverage: list[ClassCoverage] = []
+    coverage = [_coverage_for(cls, space.geometry) for cls in space.classes]
     problems: list[str] = []
-    for cls in space.classes:
-        cov = _coverage_for(cls, space.geometry)
-        coverage.append(cov)
-        if cls.tolerated and cls.kind in ("hard", "soft") and not cov.families:
-            problems.append(
-                f"tolerated class {cls.id} maps to no recovery family"
-            )
     for fam in families:
         for check in fam.within:
             if not check.ok:

@@ -35,6 +35,7 @@ from repro.campaign.oracle import (
     VERDICT_LOUD,
     VERDICT_TOLERATED,
     classify,
+    schedule_budget,
 )
 from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import _workload_rng
@@ -149,7 +150,7 @@ def _exhaust_one(
 ) -> ExhaustCheck | dict[str, str]:
     cfg = space.cfg
     if cls.tolerated:
-        budget = spec.budgets.get(cls.kind, 0)
+        budget = space.geometry.budget(cls.kind)
         siblings = [cls] + [
             c
             for c in space.classes
@@ -183,7 +184,7 @@ def _exhaust_one(
             points=[cls.representatives[0]],
         )
     events = [p.event() for p in check.points]
-    budget_str = spec.budget(events, cfg)
+    budget_str = schedule_budget(events, space.geometry)
     if budget_str != "may":
         check.problems.append(
             f"exhaustion schedule classified {budget_str!r}, expected "

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.campaign.oracle import VERDICT_EXACT, classify
+from repro.campaign.oracle import VERDICT_EXACT, classify, schedule_budget
 from repro.campaign.registry import VariantSpec, get_variant
 from repro.campaign.runner import _workload_rng
 from repro.commcheck.certify import cost_envelope, measured_costs
@@ -208,7 +208,7 @@ def replay_class_representative(
     execution = spec.execute(
         workload, FaultSchedule([event]), replace(cfg), trace=recorder
     )
-    budget = spec.budget([event], cfg)
+    budget = schedule_budget([event], space.geometry)
     verdict = classify(execution, budget)
     graph, condemned = build_fault_graph(space, recorder.ops(), execution.fired)
     dead = set(graph.meta["dead_ranks"])

@@ -7,25 +7,22 @@ from this space at random; faultcheck instead enumerates it completely
 and collapses it into *equivalence classes* so the downstream provers
 sweep a tractable set.
 
-The symmetry argument: every tolerance contract in the registry decides
-``tolerates(event)`` from ``(kind, phase, rank-role)`` alone, and the
-algorithms' recovery geometry is symmetric under relabeling ranks within
-one role (standard ranks of one coded column are exchangeable, code rows
-are exchangeable, replica groups are exchangeable).  Two fault points
-with the same ``(kind, phase, role)`` therefore exercise the same
+The symmetry argument: the variant's tolerance contract, its
+:class:`~repro.core.layout.FaultGeometry`, decides whether a fault is
+tolerated from ``(kind, phase, rank-role)`` alone, by construction, and
+the algorithms' recovery geometry is symmetric under relabeling ranks
+within one role (standard ranks of one coded column are exchangeable,
+code rows are exchangeable, replica groups are exchangeable).  Two fault
+points with the same ``(kind, phase, role)`` therefore exercise the same
 protocol branch and the same decoding condition, differing only in
 *which* symmetric unit they erase — which the decodability prover covers
-exhaustively at the unit level (:mod:`repro.faultcheck.decode`).  The
-enumerator *verifies* rather than assumes the contract half of this: it
-evaluates ``spec.tolerates`` on every concrete point and fails loudly if
-a class mixes tolerated and untolerated points.  Roles and units are read
-from the algorithm's own :class:`~repro.core.layout.FaultGeometry`.
+exhaustively at the unit level (:mod:`repro.faultcheck.decode`).  Roles,
+units and the contract are all read from that one record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.campaign.probe import DOMAIN_OF_KIND, OpSpace, probe_variant
 from repro.campaign.registry import VariantSpec, get_variant
@@ -34,26 +31,16 @@ from repro.commcheck.extract import COMMCHECK_VARIANTS
 from repro.core.layout import FaultGeometry
 from repro.machine.fault import FaultEvent
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.campaign.probe import Cell
-
 __all__ = [
     "FAULTCHECK_VARIANTS",
     "FaultPoint",
     "EquivClass",
     "FaultSpace",
-    "SpaceError",
     "enumerate_space",
 ]
 
 #: The variants faultcheck certifies: commcheck's eight, in registry order.
 FAULTCHECK_VARIANTS = COMMCHECK_VARIANTS
-
-
-class SpaceError(RuntimeError):
-    """The enumerated space is internally inconsistent (a symmetry class
-    mixed tolerated and untolerated points) — the classes cannot stand in
-    for their points."""
 
 
 @dataclass(frozen=True)
@@ -152,11 +139,9 @@ class FaultSpace:
         if ev.op_index not in self.opspace.ops(ev.rank, ev.phase, domain):
             return None
         role = self.geometry.unit_of(ev.rank).role
-        for tolerated in (True, False):
-            cid = _class_id(ev.kind, ev.phase, role, tolerated)
-            if cid in self._by_id:
-                return cid
-        return None
+        tolerated = self.geometry.tolerates(ev.kind, ev.rank, ev.phase)
+        cid = _class_id(ev.kind, ev.phase, role, tolerated)
+        return cid if cid in self._by_id else None
 
     def summary(self) -> dict:
         return {
@@ -173,8 +158,8 @@ def enumerate_space(
     """Probe ``name`` fault-free and enumerate its complete fault space.
 
     Every op index the probe observed, crossed with every fault kind the
-    variant's campaign contract injects, is one point; points collapse
-    into :class:`EquivClass`es keyed ``(kind, phase, role, tolerated)``.
+    variant's geometry injects, is one point; points collapse into
+    :class:`EquivClass`es keyed ``(kind, phase, role, tolerated)``.
     """
     spec = spec or get_variant(name)
     geometry = spec.fault_geometry(cfg)
@@ -183,11 +168,11 @@ def enumerate_space(
 
     buckets: dict[tuple[str, str, str, bool], list[FaultPoint]] = {}
     total = 0
-    for kind in sorted(spec.kinds):
+    for kind in sorted(geometry.kinds):
         domain = DOMAIN_OF_KIND[kind]
         for cell in opspace.cells(domain):
             role = geometry.unit_of(cell.rank).role
-            tol = _cell_tolerated(spec, cell, kind, cfg)
+            tol = geometry.tolerates(kind, cell.rank, cell.phase)
             key = (kind, cell.phase, role, tol)
             points = buckets.setdefault(key, [])
             for op in cell.ops:
@@ -200,16 +185,6 @@ def enumerate_space(
     classes: list[EquivClass] = []
     for (kind, phase, role, tol) in sorted(buckets, key=lambda k: (k[0], k[1], k[2], k[3])):
         points = buckets[(kind, phase, role, tol)]
-        # The class key assumes the contract is constant across the
-        # class; verify against every concrete point.
-        for pt in points:
-            if spec.tolerates(pt.event(), cfg) != tol:
-                raise SpaceError(
-                    f"{name}: class {_class_id(kind, phase, role, tol)} "
-                    f"mixes tolerated and untolerated points (rank "
-                    f"{pt.rank} op {pt.op_index} disagrees) — the role "
-                    "map no longer matches the tolerance contract"
-                )
         first = min(points, key=lambda p: (p.rank, p.op_index))
         last = max(points, key=lambda p: (p.rank, p.op_index))
         reps = (first,) if last == first else (first, last)
@@ -234,12 +209,3 @@ def enumerate_space(
         classes=classes,
         total_points=total,
     )
-
-
-def _cell_tolerated(
-    spec: VariantSpec, cell: "Cell", kind: str, cfg: CampaignConfig
-) -> bool:
-    probe = FaultEvent(
-        rank=cell.rank, phase=cell.phase, op_index=cell.ops[0], kind=kind
-    )
-    return spec.tolerates(probe, cfg)

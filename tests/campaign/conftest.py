@@ -15,6 +15,7 @@ from repro.campaign.registry import (
     register_variant,
     unregister_variant,
 )
+from repro.core.layout import ROLE_STANDARD, CodeFamily, Cover, ErasureUnit, FaultGeometry
 
 BROKEN_NAME = "test_broken"
 BROKEN_RANKS = 3
@@ -41,16 +42,23 @@ def _broken_execute(workload, schedule, cfg, trace=None):
     )
 
 
+class _BrokenAlgorithm:
+    """Claims that any one hard fault on any of its ranks is recovered."""
+
+    def fault_geometry(self):
+        units = tuple(ErasureUnit(ROLE_STANDARD, (r,)) for r in range(BROKEN_RANKS))
+        family = CodeFamily("claimed", "trivial", 1, 1, (Cover(ROLE_STANDARD, "claimed"),))
+        return FaultGeometry(None, BROKEN_RANKS, 1, units, families=(family,))
+
+
 @pytest.fixture
 def broken_variant():
     spec = VariantSpec(
         name=BROKEN_NAME,
         description="test-only: rank 1 silently corrupts on any fault",
-        kinds=("hard",),
-        budgets={"hard": 1},
         make_workload=lambda rng, cfg: rng.integer_bits(16),
         execute=_broken_execute,
-        tolerates=lambda ev, cfg: ev.kind == "hard",
+        factory=lambda cfg, schedule: _BrokenAlgorithm(),
     )
     register_variant(spec)
     try:

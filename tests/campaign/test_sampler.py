@@ -30,11 +30,14 @@ def cfg(**kw):
     return CampaignConfig(seed=1, **kw)
 
 
+def geometry(name):
+    return get_variant(name).fault_geometry(cfg())
+
+
 class TestScheduleSampler:
     def test_events_land_in_measured_space(self):
-        spec = get_variant("ft_polynomial")
         space = toomcook_space()
-        sampler = ScheduleSampler(DeterministicRNG(7), spec, space, cfg())
+        sampler = ScheduleSampler(DeterministicRNG(7), geometry("ft_polynomial"), space)
         for _ in range(50):
             shape, events = sampler.draw()
             for ev in events:
@@ -45,20 +48,20 @@ class TestScheduleSampler:
                 assert ev.op_index in ops, (shape, ev)
 
     def test_deterministic_given_seed(self):
-        spec = get_variant("ft_polynomial")
         space = toomcook_space()
 
         def draws(seed):
-            sampler = ScheduleSampler(DeterministicRNG(seed), spec, space, cfg())
+            sampler = ScheduleSampler(
+                DeterministicRNG(seed), geometry("ft_polynomial"), space
+            )
             return [sampler.draw() for _ in range(30)]
 
         assert draws(5) == draws(5)
         assert draws(5) != draws(6)
 
     def test_shapes_come_from_menu(self):
-        spec = get_variant("ft_toomcook")
         sampler = ScheduleSampler(
-            DeterministicRNG(3), spec, toomcook_space(), cfg()
+            DeterministicRNG(3), geometry("ft_toomcook"), toomcook_space()
         )
         names = {name for name, _ in SHAPES}
         seen = set()
@@ -70,9 +73,8 @@ class TestScheduleSampler:
         assert len(seen) >= 4
 
     def test_empty_shape_draws_no_events(self):
-        spec = get_variant("parallel")
         sampler = ScheduleSampler(
-            DeterministicRNG(11), spec, toomcook_space(), cfg()
+            DeterministicRNG(11), geometry("parallel"), toomcook_space()
         )
         for _ in range(60):
             shape, events = sampler.draw()
@@ -83,17 +85,17 @@ class TestScheduleSampler:
             raise AssertionError("empty shape never drawn in 60 draws")
 
     def test_soft_shapes_only_for_soft_variants(self):
-        hard_only = get_variant("ft_toomcook")
         sampler = ScheduleSampler(
-            DeterministicRNG(2), hard_only, toomcook_space(), cfg()
+            DeterministicRNG(2), geometry("ft_toomcook"), toomcook_space()
         )
         for _ in range(80):
             _shape, events = sampler.draw()
             assert all(ev.kind != "soft" for ev in events)
 
     def test_soft_variant_draws_soft_events(self):
-        spec = get_variant("soft_faults")
-        sampler = ScheduleSampler(DeterministicRNG(2), spec, soft_space(), cfg())
+        sampler = ScheduleSampler(
+            DeterministicRNG(2), geometry("soft_faults"), soft_space()
+        )
         kinds = set()
         for _ in range(80):
             _shape, events = sampler.draw()
@@ -101,9 +103,8 @@ class TestScheduleSampler:
         assert "soft" in kinds
 
     def test_replacement_kill_targets_incarnation_one(self):
-        spec = get_variant("ft_polynomial")
         sampler = ScheduleSampler(
-            DeterministicRNG(9), spec, toomcook_space(), cfg()
+            DeterministicRNG(9), geometry("ft_polynomial"), toomcook_space()
         )
         for _ in range(120):
             shape, events = sampler.draw()

@@ -4,7 +4,7 @@ The paper's third fault category — a processor's average time per
 operation increases — as a *population*: the sampler slows 1..3 distinct
 ranks by seeded heavy-tailed factors, and because delay faults cannot
 lose data or exceed any tolerance contract, the oracle demands the exact
-result from every variant, including those with custom budget rules.
+result from every variant.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from repro.campaign.oracle import delay_only
+from repro.campaign.oracle import schedule_budget
 from repro.campaign.probe import OpSpace
-from repro.campaign.registry import get_variant
+from repro.campaign.registry import get_variant, registered_variants
 from repro.campaign.runner import CampaignConfig
 from repro.campaign.sampler import SHAPES, ScheduleSampler
 from repro.machine.backends import live_children
@@ -40,7 +40,7 @@ def _cfg(**kw):
 
 def _straggler_draws(seed, draws=300):
     sampler = ScheduleSampler(
-        DeterministicRNG(seed), get_variant("ft_polynomial"), _space(), _cfg()
+        DeterministicRNG(seed), get_variant("ft_polynomial").fault_geometry(_cfg()), _space()
     )
     out = []
     for _ in range(draws):
@@ -78,21 +78,14 @@ class TestStragglerShape:
 
 
 class TestDelayOnlyBudget:
-    def test_predicate(self):
-        delay = FaultEvent(rank=0, phase="*", kind="delay")
-        hard = FaultEvent(rank=0, phase="*", kind="hard")
-        assert delay_only([delay, delay])
-        assert not delay_only([delay, hard])
-        assert not delay_only([])
-
     def test_budget_is_must_for_every_variant(self):
         cfg = _cfg()
         events = [
             FaultEvent(rank=1, phase="multiplication", kind="delay", factor=32.0),
             FaultEvent(rank=4, phase="evaluation", kind="delay", factor=3.0),
         ]
-        for name in ("parallel", "ft_linear", "ft_polynomial", "replication"):
-            assert get_variant(name).budget(events, cfg) == "must", name
+        for spec in registered_variants():
+            assert schedule_budget(events, spec.fault_geometry(cfg)) == "must", spec.name
 
     def test_hard_events_still_use_variant_rules(self):
         cfg = _cfg()
@@ -101,8 +94,8 @@ class TestDelayOnlyBudget:
             FaultEvent(rank=1, phase="multiplication", kind="hard"),
         ]
         # The plain parallel algorithm tolerates nothing: any hard event
-        # must classify "may", proving delay_only didn't swallow it.
-        assert get_variant("parallel").budget(mixed, cfg) == "may"
+        # must classify "may", even beside a delay.
+        assert schedule_budget(mixed, get_variant("parallel").fault_geometry(cfg)) == "may"
 
 
 class TestStragglerOnBothBackends:

@@ -1,20 +1,27 @@
 """Each algorithm's own layout record against the checkers' old switches.
 
 commcheck and faultcheck once restated every variant's processor layout
-in per-variant name switches.  Those switches are kept here, verbatim in
-substance, as the reference the algorithms' ``fault_geometry()`` records
-must reproduce field by field over a grid of configurations.  The one
-place the reference was wrong is multistep's erasure units when
-``P > (2k-1)**l``: it made every rank its own unit, but a multistep column
-holds ``P/(2k-1)**l`` ranks.
+in per-variant name switches, and the campaign registry restated every
+variant's tolerance contract as ``tolerates`` predicates, budget dicts
+and a custom soft-fault budget rule.  Those copies are kept here,
+verbatim in substance, as the reference the algorithms'
+``fault_geometry()`` records must reproduce over a grid of
+configurations.  The places the reference was wrong: multistep's erasure
+units when ``P > (2k-1)**l`` (it made every rank its own unit, but a
+multistep column holds ``P/(2k-1)**l`` ranks), ranks outside the machine
+(five contracts tolerated them), and budgets that did not scale with f.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from repro.bigint.evalpoints import extended_toom_points
+from repro.campaign.oracle import schedule_budget
 from repro.campaign.registry import get_variant
+from repro.campaign.runner import run_trial
 from repro.coding.point_search import multistep_evaluation_points
 from repro.commcheck.extract import COMMCHECK_VARIANTS, graph_meta, make_config
 from repro.core.plan import make_plan
@@ -219,11 +226,103 @@ def ref_coverage(variant, role, phase):
     return (), "no recovery mechanism"
 
 
+# -- the reference: the registry's tolerance contracts -------------------------
+
+PHASE_EVAL = "evaluation"
+PHASE_MULT = "multiplication"
+PHASE_INTERP = "interpolation"
+PHASE_CODE = "code-creation"
+PHASE_RECOV = "recovery"
+
+_TRAVERSAL_PHASES = (PHASE_EVAL, PHASE_MULT, PHASE_INTERP)
+
+
+def _ft_toomcook_tolerates(ev, cfg):
+    if ev.kind != "hard":
+        return False
+    p = cfg.p
+    q = 2 * cfg.k - 1
+    linear_rows = range(p, p + cfg.f * q)
+    if ev.rank < p or ev.rank >= linear_rows.stop:
+        # Standard and poly-code ranks recover inside the task loop.
+        return ev.phase in _TRAVERSAL_PHASES
+    # Linear-code rows only execute the boundary protocol.
+    return ev.phase in (PHASE_CODE, PHASE_RECOV)
+
+
+def _soft_redundancy(cfg):
+    return 2 * cfg.f  # the soft variant runs with doubled redundancy
+
+
+def _soft_budget(events, cfg):
+    f = _soft_redundancy(cfg)
+    hard = sum(1 for ev in events if ev.kind == "hard")
+    soft = sum(1 for ev in events if ev.kind == "soft")
+    for ev in events:
+        if ev.kind == "delay":
+            continue
+        if ev.incarnation != 0 or ev.phase != PHASE_MULT:
+            return "may"
+    # MDS decoding: s erasures + e errors decodable iff s + 2e <= f.
+    return "must" if hard + 2 * soft <= f else "may"
+
+
+REF_TOLERATES = {
+    "parallel": lambda ev, cfg: False,
+    "ft_linear": lambda ev, cfg: (
+        ev.kind == "hard" and ev.rank < _COLUMN and ev.phase == "work"
+    ),
+    "ft_polynomial": lambda ev, cfg: ev.kind == "hard"
+    and ev.phase in (PHASE_MULT, PHASE_INTERP),
+    "ft_toomcook": _ft_toomcook_tolerates,
+    "soft_faults": lambda ev, cfg: ev.phase == PHASE_MULT
+    and ev.kind in ("hard", "soft"),
+    "checkpoint": lambda ev, cfg: ev.kind == "hard"
+    and ev.rank < cfg.p
+    and ev.phase in _TRAVERSAL_PHASES,
+    "replication": lambda ev, cfg: ev.kind == "hard",
+    "multistep": lambda ev, cfg: ev.kind == "hard" and ev.phase == PHASE_MULT,
+}
+
+#: The f=1 budget dicts; the soft variant's custom rule ignored its own.
+REF_BUDGETS = {"parallel": {}, "soft_faults": {"hard": 2, "soft": 1}}
+REF_BUDGET_RULES = {"soft_faults": _soft_budget}
+
+
+def ref_budget(name, events, cfg):
+    """``VariantSpec.budget`` as it was, its budget dicts scaled by f."""
+    if events and all(ev.kind == "delay" for ev in events):
+        return "must"
+    if name in REF_BUDGET_RULES:
+        return REF_BUDGET_RULES[name](events, cfg)
+    budgets = {kind: n * cfg.f for kind, n in REF_BUDGETS.get(name, {"hard": 1}).items()}
+    counts = {}
+    for ev in events:
+        if ev.kind == "delay":
+            continue
+        if ev.incarnation != 0 or not REF_TOLERATES[name](ev, cfg):
+            return "may"
+        counts[ev.kind] = counts.get(ev.kind, 0) + 1
+    for kind in sorted(counts):
+        if counts[kind] > budgets.get(kind, 0):
+            return "may"
+    return "must"
+
+
 # -- the record against the reference ------------------------------------------
 
 
 CASES = [(name, point) for point in GRID for name in COMMCHECK_VARIANTS]
-PHASES = ("evaluation", "multiplication", "interpolation", "code-creation", "recovery", "work")
+PHASES = (
+    "evaluation",
+    "multiplication",
+    "interpolation",
+    "checkpoint",
+    "code-creation",
+    "recovery",
+    "work",
+)
+KINDS = ("hard", "soft", "delay")
 
 
 def _config(point):
@@ -262,7 +361,7 @@ def test_record_matches_reference(name, point):
     for unit in geometry.units:
         for phase in PHASES:
             event = FaultEvent(rank=unit.members[0], phase=phase, op_index=0, kind="hard")
-            if not spec.tolerates(event, cfg):
+            if not REF_TOLERATES[name](event, cfg):
                 continue
             cls = EquivClass(
                 id="probe",
@@ -278,6 +377,64 @@ def test_record_matches_reference(name, point):
             assert (coverage.families, coverage.reason) == ref_coverage(
                 name, unit.role, phase
             ), (unit, phase)
+
+
+def _events(ranks, incarnations=(0, 1)):
+    return [
+        FaultEvent(rank=rank, phase=phase, kind=kind, incarnation=inc)
+        for rank in ranks
+        for phase in PHASES
+        for kind in KINDS
+        for inc in incarnations
+    ]
+
+
+@pytest.mark.parametrize("name,point", CASES, ids=[f"{n}-{p}" for n, p in CASES])
+def test_tolerance_matches_reference(name, point):
+    cfg = _config(point)
+    geometry = get_variant(name).fault_geometry(cfg)
+    for ev in _events(range(geometry.machine_size), incarnations=(0,)):
+        expected = REF_TOLERATES[name](ev, cfg)
+        assert geometry.tolerates(ev.kind, ev.rank, ev.phase) == expected, ev
+
+
+@pytest.mark.parametrize("name,point", CASES, ids=[f"{n}-{p}" for n, p in CASES])
+def test_budget_matches_reference(name, point):
+    # Every 1-event schedule on every rank; 2-event schedules (hard/soft
+    # mixes and replacement kills included) on the lowest and highest
+    # rank of each role, where a restated layout would slip.
+    cfg = _config(point)
+    geometry = get_variant(name).fault_geometry(cfg)
+    for ev in _events(range(geometry.machine_size)):
+        assert schedule_budget([ev], geometry) == ref_budget(name, [ev], cfg), ev
+    by_role = {}
+    for unit in geometry.units:
+        by_role.setdefault(unit.role, []).extend(unit.members)
+    edges = sorted({r for ranks in by_role.values() for r in (min(ranks), max(ranks))})
+    for pair in combinations_with_replacement(_events(edges), 2):
+        assert schedule_budget(pair, geometry) == ref_budget(name, pair, cfg), pair
+
+
+@pytest.mark.parametrize("name", COMMCHECK_VARIANTS)
+def test_ranks_outside_the_machine_are_not_tolerated(name):
+    geometry = get_variant(name).fault_geometry(make_config())
+    size = geometry.machine_size
+    for rank in (size, size + 5):
+        event = FaultEvent(rank=rank, phase="multiplication", op_index=0)
+        assert not geometry.tolerates("hard", rank, "multiplication")
+        assert schedule_budget([event], geometry) == "may"
+    with pytest.raises(ValueError, match=f"rank {size} "):
+        geometry.unit_of(size)
+
+
+def test_fault_on_a_missing_rank_is_beyond_budget():
+    # Nothing fires, so the product is exact, but the schedule promised
+    # a fault the machine cannot take.
+    out = run_trial(
+        "replication", events=[FaultEvent(rank=500, phase="multiplication", op_index=0)]
+    )
+    assert not out.execution.fired
+    assert (out.budget, out.verdict) == ("may", "exact-beyond-budget")
 
 
 @pytest.mark.parametrize("name,point", CASES, ids=[f"{n}-{p}" for n, p in CASES])
@@ -318,3 +475,25 @@ def test_multistep_exhaustion_spans_two_columns():
     columns = {column_of[point.rank] for point in check.points}
     assert len(columns) == len(check.points) == 2
     assert check.verdict == "loud-beyond-budget"
+
+
+#: Budgets at f=2: f erasures, and for the soft variant 2f erasures or f
+#: silent errors.
+F2_BUDGETS = {
+    "ft_polynomial": {"hard": 2},
+    "replication": {"hard": 2},
+    "soft_faults": {"hard": 4, "soft": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(F2_BUDGETS))
+def test_f2_exhaustion_reaches_the_frontier(name):
+    report = prove_exhaustion(enumerate_space(name, make_config(f=2)))
+    assert report.problems == []
+    beyond = [c for c in report.checks if c.mode == "beyond-budget"]
+    assert {c.points[0].kind for c in beyond} == set(F2_BUDGETS[name])
+    for check in beyond:
+        budget = F2_BUDGETS[name][check.points[0].kind]
+        assert check.budget == budget
+        assert len(check.points) == budget + 1
+        assert check.verdict == "loud-beyond-budget"
